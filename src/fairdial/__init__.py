@@ -18,7 +18,6 @@ from .culture import (
     builtin_boat_culture,
     expand,
     generate_random_culture,
-    instantiate_ground_truth_framework,
     load_culture,
     sample_boat_agent,
     save_culture,
@@ -73,9 +72,8 @@ __all__ = [
     # cultures
     "Culture", "CultureArgument", "ExpandedCulture", "FeatureDescription",
     "RevealedLedger", "Verdict", "expand", "verify_fact",
-    "instantiate_ground_truth_framework", "generate_random_culture",
-    "builtin_boat_culture", "sample_boat_agent", "save_culture",
-    "load_culture",
+    "generate_random_culture", "builtin_boat_culture", "sample_boat_agent",
+    "save_culture", "load_culture",
     # dialogues
     "Move", "DialogueResult", "DialogueState", "STRATEGIES",
     "legal_rebuttals", "affordable", "choose", "run_dispute",

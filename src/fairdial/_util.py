@@ -1,8 +1,11 @@
-"""Small shared helpers: seed derivation, bit iteration, stable formatting."""
+"""Small shared helpers: seeds, bit iteration, parallel map, formatting."""
 
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
+
+from .errors import InputError
 
 
 def derive_seed(*parts) -> int:
@@ -27,8 +30,19 @@ def iter_bits(mask: int):
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
+def parallel_map(fn, tasks, jobs: int = 1) -> list:
+    """``[fn(t) for t in tasks]``, spread over ``jobs`` worker processes.
+
+    Results come back in task order, so nothing downstream depends on
+    ``jobs``.  ``fn`` must be a module-level function; workers are spawned
+    and import it afresh.
+    """
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1:
+        return [fn(t) for t in tasks]
+    with multiprocessing.get_context("spawn").Pool(processes=jobs) as pool:
+        return list(pool.imap(fn, tasks))
 
 
 def fmt_num(x) -> str:

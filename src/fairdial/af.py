@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from ._util import iter_bits
 from .errors import CapacityError, InputError, ParseError
 
 ORACLE_MAX_ARGS = 20
@@ -103,14 +104,7 @@ def _as_mask(members, n_args) -> int:
 
 
 def _mask_to_set(mask) -> frozenset:
-    return frozenset(_iter_bits(mask))
-
-
-def _iter_bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return frozenset(iter_bits(mask))
 
 
 def is_admissible(members, af: Framework) -> bool:
@@ -366,12 +360,20 @@ def _component_of(x, att_by, att_to, alive):
     return comp
 
 
-def sceptically_accepted(x: int, af: Framework) -> bool:
-    """True iff argument ``x`` belongs to every preferred extension."""
+def sceptically_accepted(x: int, af: Framework, alive: int | None = None) -> bool:
+    """True iff argument ``x`` belongs to every preferred extension.
+
+    ``alive`` is a node mask: the question is asked of the subframework it
+    induces, which must contain ``x``.  By default it is the whole framework.
+    """
     if not 0 <= x < af.n_args:
         raise InputError(f"argument {x} outside 0..{af.n_args - 1}")
     bit = 1 << x
-    alive = (1 << af.n_args) - 1
+    full = (1 << af.n_args) - 1
+    if alive is None:
+        alive = full
+    elif alive & ~full or not alive & bit:
+        raise InputError(f"alive mask must lie within the framework and hold {x}")
     att_by = af.attacker_masks
     att_to = af.target_masks
     in0, out0 = _grounded_split(att_by, att_to, alive)

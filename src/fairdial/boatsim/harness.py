@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from multiprocessing import Pool
 
-from .._util import derive_seed, fmt_num
+from .._util import derive_seed, fmt_num, parallel_map
 from ..dialogue import BUDGET_FORCED, STRATEGIES
 from ..errors import InputError
 from .metrics import DEFAULT_STRIDE, comfort_metrics, global_trajectory_losses
 from .world import (
-    MODES,
     NOMINAL,
     OBJECTIVE,
     SUBJECTIVE,
@@ -104,15 +102,7 @@ def _run_one_trial(args):
 def run_boat_experiment(cfg: BoatExperimentConfig, jobs: int = 1):
     """Per-(trial, strategy) summaries, merged in trial order."""
     tasks = [(cfg, t) for t in range(cfg.n_trials)]
-    out = []
-    if jobs > 1:
-        with Pool(processes=jobs) as pool:
-            for chunk in pool.imap(_run_one_trial, tasks):
-                out.extend(chunk)
-    else:
-        for task in tasks:
-            out.extend(_run_one_trial(task))
-    return out
+    return [s for chunk in parallel_map(_run_one_trial, tasks, jobs) for s in chunk]
 
 
 def write_boat_summary_csv(summaries, path):
@@ -136,20 +126,32 @@ def write_boat_summary_csv(summaries, path):
                 )
 
 
-def write_boat_encounters_csv(summaries, path):
+def encounter_rows(summaries):
+    """(trial, strategy, mode, encounters) rows of an all-mode experiment."""
+    return [
+        (s.trial, s.strategy, mode, s.encounters[mode])
+        for s in summaries
+        for mode in (NOMINAL, SUBJECTIVE, OBJECTIVE)
+    ]
+
+
+def write_boat_encounters_csv(rows, path):
+    """One line per encounter of each (trial, strategy, mode, encounters) row.
+
+    A strategy of None (the objective referee) is written as an empty cell.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(ENCOUNTER_COLUMNS)
-        for s in summaries:
-            for mode in (NOMINAL, SUBJECTIVE, OBJECTIVE):
-                for e in s.encounters[mode]:
-                    writer.writerow(
-                        [
-                            s.trial, s.strategy, mode, e.first, e.second,
-                            e.pr_agent, e.op_agent, e.winner, e.termination,
-                            e.z, fmt_num(e.r_act), fmt_num(e.t_trigger),
-                        ]
-                    )
+        for trial, strategy, mode, encounters in rows:
+            for e in encounters:
+                writer.writerow(
+                    [
+                        trial, strategy or "", mode, e.first, e.second,
+                        e.pr_agent, e.op_agent, e.winner, e.termination,
+                        e.z, fmt_num(e.r_act), fmt_num(e.t_trigger),
+                    ]
+                )
 
 
 def write_trajectory_csv(results, path, stride: int = DEFAULT_STRIDE):
@@ -176,11 +178,3 @@ def write_trajectory_csv(results, path, stride: int = DEFAULT_STRIDE):
                             fmt_num(tel.lat_jerk[k]),
                         ]
                     )
-
-
-def modes_for(mode_arg: str):
-    if mode_arg == "all":
-        return MODES
-    if mode_arg not in MODES:
-        raise InputError(f"unknown mode {mode_arg!r}")
-    return (mode_arg,)

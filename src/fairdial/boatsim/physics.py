@@ -9,11 +9,17 @@ initial-acceleration trim in the comfort metrics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..errors import InputError
+
+
+def is_finite_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -23,6 +29,12 @@ class PhysicsParams:
     drag: float = 16.0 + 2.0 / 3.0  # kg/m, quadratic drag coefficient
     yaw_rate_max: float = 0.4  # rad/s
     yaw_tau: float = 0.4  # s, first-order yaw response time
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not is_finite_real(value) or value <= 0:
+                raise InputError(f"{f.name} must be a positive number, got {value!r}")
 
     @property
     def thrust_max(self) -> float:

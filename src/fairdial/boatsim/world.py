@@ -16,8 +16,9 @@ referee.  All modes share one physical world per trial seed.
 
 from __future__ import annotations
 
+import numbers
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from ..culture import (
 from ..dialogue import BUDGET_FORCED, STRATEGIES, run_dispute
 from ..errors import InputError, SimulationFault
 from ..fairness import objective_outcome
-from .physics import PhysicsParams, step_arrays
+from .physics import PhysicsParams, is_finite_real, step_arrays
 
 WEST = "west"
 EAST = "east"
@@ -70,10 +71,32 @@ class WorldConfig:
     distance_floor: float = 5.0  # m, clamp for the 1/d field magnitude
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "physics" and not is_finite_real(value):
+                raise InputError(f"{f.name} must be a finite number, got {value!r}")
+        if not isinstance(self.n_agents, numbers.Integral):
+            raise InputError(f"n_agents must be an integer, got {self.n_agents!r}")
         if self.n_agents < 2 or self.n_agents % 2:
             raise InputError("n_agents must be even and at least 2")
+        for name in _POSITIVE_FIELDS:
+            if getattr(self, name) <= 0:
+                raise InputError(f"{name} must be positive")
+        for name in _NON_NEGATIVE_FIELDS:
+            if getattr(self, name) < 0:
+                raise InputError(f"{name} must be non-negative")
         if not 0 < self.r_crit < self.r_max:
             raise InputError("need 0 < r_crit < r_max")
+
+
+_POSITIVE_FIELDS = (
+    "arena_length", "arena_width", "tick", "goal_tolerance", "max_time",
+    "distance_floor",
+)
+_NON_NEGATIVE_FIELDS = (
+    "k_repulsion", "goal_weight", "heading_gain", "min_start_gap",
+    "extra_start_gap", "y_band",
+)
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,14 @@ import argparse
 import csv
 import json
 import os
+import random
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from ._util import fmt_num
+from ._util import derive_seed
 from .af import emit_framework, parse_framework, preferred_extensions, sceptically_accepted
 from .boatsim import (
     BoatExperimentConfig,
@@ -29,6 +31,7 @@ from .boatsim import (
     OBJECTIVE,
     PhysicsParams,
     WorldConfig,
+    encounter_rows,
     init_parade,
     run_boat_experiment,
     run_boat_trial,
@@ -46,10 +49,11 @@ from .culture import (
 )
 from .dialogue import STRATEGIES, run_dispute
 from .errors import FairdialError, InputError, SimulationFault
+from .fairness import dispute_records
 from .randexp import (
     TrialConfig,
+    _population,
     ecdf_privacy_cost,
-    run_trial,
     summarise,
     sweep,
     trial_seeds,
@@ -122,13 +126,9 @@ def _write_transcripts(cfg: TrialConfig, n_trials: int, path: Path):
     """Replay every dialogue of a sweep and log its transcript.
 
     Dialogues are deterministic given the derived seeds, so this replay
-    writes exactly the dialogues the sweep scored.
+    writes exactly the dialogues the sweep scored.  Unrestricted dialogues
+    are labelled, as in sweep.csv, with the culture's total cost.
     """
-    import random
-
-    from ._util import derive_seed
-    from .randexp import _population
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -136,28 +136,14 @@ def _write_transcripts(cfg: TrialConfig, n_trials: int, path: Path):
              "termination", "spent_pr", "spent_op", "move_list")
         )
         for trial, tseed in enumerate(trial_seeds(cfg.seed, n_trials)):
-            from dataclasses import replace
-
-            tcfg = replace(cfg, seed=tseed)
-            xc, agents = _population(tcfg)
-            n = len(agents)
-            for strategy in tcfg.strategies:
-                for g in tcfg.budget_grid:
-                    for j in range(n):
-                        for k in range(n):
-                            if j == k:
-                                continue
-                            rng = None
-                            if strategy == "random":
-                                rng = random.Random(
-                                    derive_seed(tseed, "dlg", j, k, strategy, g)
-                                )
-                            res = run_dispute(
-                                agents[j], agents[k], xc, strategy, g, rng=rng
-                            )
-                            writer.writerow(
-                                _transcript_row(trial, j, k, strategy, g, res)
-                            )
+            xc, agents = _population(replace(cfg, seed=tseed))
+            for strategy in cfg.strategies:
+                for g in cfg.budgets:
+                    label = xc.total_cost if g is None else g
+                    for j, k, res in dispute_records(agents, xc, strategy, g, tseed):
+                        writer.writerow(
+                            _transcript_row(trial, j, k, strategy, label, res)
+                        )
 
 
 def _execute_ecdf(config: dict, out_dir: Path):
@@ -174,8 +160,12 @@ def _execute_ecdf(config: dict, out_dir: Path):
     return ["ecdf.csv", "ecdf_plots.gp"]
 
 
-def _world_config_from(doc: dict) -> WorldConfig:
-    doc = dict(doc or {})
+def _world_config_from(doc) -> WorldConfig:
+    if doc is None:
+        doc = {}
+    if not isinstance(doc, dict):
+        raise InputError("a world config must be a JSON object")
+    doc = dict(doc)
     phys = doc.pop("physics", None)
     kwargs = {}
     for key, value in doc.items():
@@ -183,6 +173,8 @@ def _world_config_from(doc: dict) -> WorldConfig:
             raise InputError(f"unknown world config key {key!r}")
         kwargs[key] = value
     if phys:
+        if not isinstance(phys, dict):
+            raise InputError("'physics' must be a JSON object")
         unknown = set(phys) - set(PhysicsParams.__dataclass_fields__)
         if unknown:
             raise InputError(f"unknown physics keys {sorted(unknown)}")
@@ -209,12 +201,12 @@ def _execute_boats(config: dict, out_dir: Path):
         )
         summaries = run_boat_experiment(cfg, jobs=config.get("jobs", 1))
         write_boat_summary_csv(summaries, out_dir / "boats_summary.csv")
-        write_boat_encounters_csv(summaries, out_dir / "boats_encounters.csv")
+        write_boat_encounters_csv(
+            encounter_rows(summaries), out_dir / "boats_encounters.csv"
+        )
         outputs += ["boats_summary.csv", "boats_encounters.csv"]
         return outputs
     # single-mode run: encounters plus (optionally) trajectories
-    from ._util import derive_seed
-
     rows = []
     results = []
     for trial in range(config["trials"]):
@@ -227,31 +219,13 @@ def _execute_boats(config: dict, out_dir: Path):
                 mode,
             )
             results.append((trial, res))
-            rows.append((trial, strategy, res))
-    _write_single_mode_encounters(rows, out_dir / "boats_encounters.csv")
+            rows.append((trial, strategy, mode, res.encounters))
+    write_boat_encounters_csv(rows, out_dir / "boats_encounters.csv")
     outputs.append("boats_encounters.csv")
     if config.get("log_trajectories"):
         write_trajectory_csv(results, out_dir / "trajectories.csv")
         outputs.append("trajectories.csv")
     return outputs
-
-
-def _write_single_mode_encounters(rows, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ("trial", "strategy", "mode", "first", "second", "pr", "op",
-             "winner", "termination", "z", "r_act", "t_trigger")
-        )
-        for trial, strategy, res in rows:
-            for e in res.encounters:
-                writer.writerow(
-                    [
-                        trial, strategy or "", res.mode, e.first, e.second,
-                        e.pr_agent, e.op_agent, e.winner, e.termination,
-                        e.z, fmt_num(e.r_act), fmt_num(e.t_trigger),
-                    ]
-                )
 
 
 def _execute_culture_random(config: dict, out_dir: Path):
@@ -358,9 +332,7 @@ def _cmd_dispute(args) -> int:
     n_features = len(culture.non_motion_ids)
     d_pr = _parse_description(args.pr, n_features)
     d_op = _parse_description(args.op, n_features)
-    import random as _random
-
-    rng = _random.Random(_resolve_seed(args.seed))
+    rng = random.Random(_resolve_seed(args.seed))
     g = None if args.budget < 0 else args.budget
     res = run_dispute(d_pr, d_op, xc, args.strategy, g, rng=rng)
     if args.json:
@@ -427,7 +399,11 @@ def _cmd_boats(args) -> int:
     world = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            world = json.load(fh)
+            try:
+                world = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"{args.config}: invalid JSON: {exc}") from None
+    _world_config_from(world)  # reject a bad config before any output exists
     config = {
         "strategy": args.strategy,
         "budget": args.budget,
@@ -454,6 +430,17 @@ def _cmd_rerun(args) -> int:
 
 
 # ---------------------------------------------------------------- parser
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -510,10 +497,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--cost-min", type=int, default=1)
     p_sweep.add_argument("--cost-max", type=int, default=20)
     p_sweep.add_argument("--budget-max", type=int, default=60)
-    p_sweep.add_argument("--budget-step", type=int, default=5)
+    p_sweep.add_argument("--budget-step", type=_positive_int, default=5)
     p_sweep.add_argument("--trials", type=int, default=200)
     p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=_positive_int, default=1)
     p_sweep.add_argument("--log-transcripts", action="store_true",
                          help="also write every dialogue transcript (large)")
     p_sweep.add_argument("--out", required=True)
@@ -527,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ecdf.add_argument("--cost-max", type=int, default=20)
     p_ecdf.add_argument("--trials", type=int, default=50)
     p_ecdf.add_argument("--seed", type=int, default=None)
-    p_ecdf.add_argument("--jobs", type=int, default=1)
+    p_ecdf.add_argument("--jobs", type=_positive_int, default=1)
     p_ecdf.add_argument("--out", required=True)
     p_ecdf.set_defaults(func=_cmd_ecdf)
 
@@ -538,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_boats.add_argument("--trials", type=int, default=10)
     p_boats.add_argument("--seed", type=int, default=None)
     p_boats.add_argument("--mode", choices=MODES + ("all",), default="all")
-    p_boats.add_argument("--jobs", type=int, default=1)
+    p_boats.add_argument("--jobs", type=_positive_int, default=1)
     p_boats.add_argument("--config", help="JSON file overriding world parameters")
     p_boats.add_argument("--log-trajectories", action="store_true")
     p_boats.add_argument("--literal-gap", action="store_true",

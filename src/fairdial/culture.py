@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
+from .af import Framework
 from .errors import InputError, ParseError
 
 PR = "pr"
@@ -293,6 +294,28 @@ class ExpandedCulture:
     def fact(self, arg_id: int, role: str) -> int:
         return self._fact_index[arg_id, ROLES.index(role)]
 
+    def true_fact_masks(self, d_pr: FeatureDescription,
+                        d_op: FeatureDescription) -> tuple:
+        """Per-owner masks (pr, op) of the facts that hold between two agents.
+
+        A fact on feature i holds for its owner iff the owner's value strictly
+        exceeds the adversary's; ties hold for neither side.
+        """
+        op_bits = self.fact_bits[1]
+        pr_vals, op_vals = d_pr.values, d_op.values
+        pr_mask = op_mask = 0
+        for pos, bit in self.fact_bits[0].items():
+            if pr_vals[pos] > op_vals[pos]:
+                pr_mask |= bit
+            elif op_vals[pos] > pr_vals[pos]:
+                op_mask |= op_bits[pos]
+        return pr_mask, op_mask
+
+    @cached_property
+    def framework(self) -> Framework:
+        """The whole expansion as a Framework; node ids are expanded ids."""
+        return Framework(n_args=self.n_x, attacks=self.x_attacks)
+
     @property
     def single_motion_id(self) -> int:
         motions = self.base.motion_ids
@@ -352,51 +375,6 @@ def verify_fact(x_arg: ExpandedArgument, utterer_desc: FeatureDescription,
         return Verdict.UNKNOWN
     mine = utterer_desc.value(x_arg.feature_pos)
     return Verdict.TRUE if mine > theirs else Verdict.FALSE
-
-
-@dataclass(frozen=True)
-class InstantiatedFramework:
-    """A ground-truth framework plus the surviving expanded-node ids.
-
-    ``framework`` argument i corresponds to expanded node ``x_ids[i]``.
-    """
-
-    framework: object
-    x_ids: tuple
-
-    @cached_property
-    def index_of(self) -> dict:
-        return {x: i for i, x in enumerate(self.x_ids)}
-
-
-def instantiate_ground_truth_framework(xc: ExpandedCulture,
-                                       d_pr: FeatureDescription,
-                                       d_op: FeatureDescription):
-    """Expanded framework under full information.
-
-    Keeps every hypothesis and exactly the facts whose comparison holds
-    between the two descriptions, then restricts the expansion attacks to
-    the survivors.
-    """
-    from .af import Framework
-
-    descs = (d_pr, d_op)
-    kept = []
-    for a in xc.x_args:
-        if a.kind == FACT:
-            mine = descs[ROLES.index(a.owner)].value(a.feature_pos)
-            theirs = descs[1 - ROLES.index(a.owner)].value(a.feature_pos)
-            if mine <= theirs:
-                continue
-        kept.append(a.x_id)
-    index = {x: i for i, x in enumerate(kept)}
-    attacks = frozenset(
-        (index[a], index[b])
-        for a, b in xc.x_attacks
-        if a in index and b in index
-    )
-    fw = Framework(n_args=len(kept), attacks=attacks)
-    return InstantiatedFramework(framework=fw, x_ids=tuple(kept))
 
 
 def generate_random_culture(n_args: int, n_attacks: int, cost_range,

@@ -77,17 +77,8 @@ class DialogueState:
         self.used = 0
         self.attacked = 0
         self.ledger = RevealedLedger()
-        # facts whose comparison actually holds, per owner; a fact becomes
-        # usable only once the adversary's value is on record
-        true_facts = [0, 0]
-        for w in (0, 1):
-            mine, theirs = pr_desc, op_desc
-            if w == 1:
-                mine, theirs = op_desc, pr_desc
-            for pos, bit in xc.fact_bits[w].items():
-                if mine.value(pos) > theirs.value(pos):
-                    true_facts[w] |= bit
-        self._true_facts = true_facts
+        # a true fact becomes usable only once the adversary's value is on record
+        self._true_facts = xc.true_fact_masks(pr_desc, op_desc)
         self.usable = [xc.hyp_masks[0], xc.hyp_masks[1]]
 
     def remaining(self, role_index: int):

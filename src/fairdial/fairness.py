@@ -1,11 +1,11 @@
 """Fairness bookkeeping: objective outcomes, outcome matrices and losses.
 
 The objective outcome of a pair is what an all-knowing referee would rule:
-instantiate the expanded culture under full information, then ask whether
-the proponent's motion hypothesis is sceptically accepted (in every
-preferred extension).  Comparing the ruling with actual dialogue outcomes
-yields the objective local loss; dialogues cut short by the privacy budget
-carry the subjective local loss.
+restrict the expanded culture to what holds under full information, then
+ask whether the proponent's motion hypothesis is sceptically accepted (in
+every preferred extension).  Comparing the ruling with actual dialogue
+outcomes yields the objective local loss; dialogues cut short by the privacy
+budget carry the subjective local loss.
 
 Population-level distortion compares precedence digraphs: the ground-truth
 and dialogue outcome matrices each induce arcs between agents that beat one
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from ._util import derive_seed
 from .af import sceptically_accepted
-from .culture import OP, PR, ExpandedCulture, instantiate_ground_truth_framework
+from .culture import OP, PR, ExpandedCulture
 from .dialogue import BUDGET_FORCED, DialogueResult, STRATEGIES, run_dispute
 from .errors import InputError
 
@@ -30,11 +30,15 @@ Y2 = Fraction(1, 3)  # weight of joint absence
 
 
 def objective_outcome(d_pr, d_op, xc: ExpandedCulture) -> str:
-    """Full-information ruling for an ordered pair: PR or OP."""
-    inst = instantiate_ground_truth_framework(xc, d_pr, d_op)
+    """Full-information ruling for an ordered pair: PR or OP.
+
+    The referee's framework is the expansion restricted to every hypothesis
+    plus the facts that hold between the two descriptions.
+    """
+    true_pr, true_op = xc.true_fact_masks(d_pr, d_op)
+    alive = xc.hyp_masks[0] | xc.hyp_masks[1] | true_pr | true_op
     motion = xc.hypothesis(xc.single_motion_id, PR)
-    accepted = sceptically_accepted(inst.index_of[motion], inst.framework)
-    return PR if accepted else OP
+    return PR if sceptically_accepted(motion, xc.framework, alive) else OP
 
 
 @dataclass(frozen=True)

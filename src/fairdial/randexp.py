@@ -14,13 +14,13 @@ import csv
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from multiprocessing import Pool
 
-from ._util import derive_seed, fmt_num
+from ._util import derive_seed, fmt_num, parallel_map
 from .culture import FeatureDescription, expand, generate_random_culture
-from .dialogue import BUDGET_FORCED, STRATEGIES, run_dispute
+from .dialogue import BUDGET_FORCED, STRATEGIES
 from .errors import InputError
 from .fairness import (
+    dispute_records,
     ground_truth_matrix,
     global_losses,
     precedence_graph,
@@ -65,6 +65,11 @@ class TrialConfig:
             raise InputError(f"unknown strategies {sorted(unknown)}")
         object.__setattr__(self, "strategies", tuple(self.strategies))
 
+    @property
+    def budgets(self) -> tuple:
+        """Budgets every trial plays: the grid, then None (unrestricted)."""
+        return self.budget_grid + ((None,) if self.include_unrestricted else ())
+
 
 @dataclass(frozen=True)
 class TrialRow:
@@ -94,22 +99,14 @@ def _population(cfg: TrialConfig):
 
 
 def _pair_results(agents, xc, strategy, g, seed):
-    """Outcome matrix entries plus loss tallies for one (strategy, g) cell."""
+    """Outcome matrix plus budget-forced count for one (strategy, g) cell."""
     n = len(agents)
     rows = [[None] * n for _ in range(n)]
     forced = 0
-    g_key = -1 if g is None else g
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            rng = None
-            if strategy == "random":
-                rng = random.Random(derive_seed(seed, "dlg", j, k, strategy, g_key))
-            res = run_dispute(agents[j], agents[k], xc, strategy, g, rng=rng)
-            rows[j][k] = res.winner
-            if res.termination == BUDGET_FORCED:
-                forced += 1
+    for j, k, res in dispute_records(agents, xc, strategy, g, seed):
+        rows[j][k] = res.winner
+        if res.termination == BUDGET_FORCED:
+            forced += 1
     return OutcomeMatrix(entries=tuple(tuple(r) for r in rows)), forced
 
 
@@ -121,11 +118,8 @@ def run_trial(cfg: TrialConfig):
     n = cfg.n_agents
     n_pairs = n * (n - 1)
     rows = []
-    budgets = [(g, False) for g in cfg.budget_grid]
-    if cfg.include_unrestricted:
-        budgets.append((None, True))
     for strategy in cfg.strategies:
-        for g, unrestricted in budgets:
+        for g in cfg.budgets:
             matrix, forced = _pair_results(agents, xc, strategy, g, cfg.seed)
             wrong = sum(
                 1
@@ -143,7 +137,7 @@ def run_trial(cfg: TrialConfig):
                     mean_l_ol=wrong / n_pairs,
                     k_raw=k_raw,
                     k_norm=k_norm,
-                    unrestricted=unrestricted,
+                    unrestricted=g is None,
                 )
             )
     return rows
@@ -163,15 +157,7 @@ def sweep(cfg: TrialConfig, n_trials: int, jobs: int = 1):
     if n_trials < 1:
         raise InputError("need at least one trial")
     tasks = [(cfg, s) for s in trial_seeds(cfg.seed, n_trials)]
-    rows = []
-    if jobs > 1:
-        with Pool(processes=jobs) as pool:
-            for chunk in pool.imap(_sweep_worker, tasks):
-                rows.extend(chunk)
-    else:
-        for task in tasks:
-            rows.extend(_sweep_worker(task))
-    return rows
+    return [row for chunk in parallel_map(_sweep_worker, tasks, jobs) for row in chunk]
 
 
 @dataclass(frozen=True)
@@ -213,21 +199,13 @@ def _ecdf_worker(args):
     cfg, trial_seed = args
     tcfg = replace(cfg, seed=trial_seed)
     xc, agents = _population(tcfg)
-    n = len(agents)
-    out = {s: [] for s in tcfg.strategies}
-    for strategy in tcfg.strategies:
-        for j in range(n):
-            for k in range(n):
-                if j == k:
-                    continue
-                rng = None
-                if strategy == "random":
-                    rng = random.Random(
-                        derive_seed(tcfg.seed, "dlg", j, k, strategy, -1)
-                    )
-                res = run_dispute(agents[j], agents[k], xc, strategy, None, rng=rng)
-                out[strategy].append(max(res.spent.values()))
-    return out
+    return {
+        strategy: [
+            max(res.spent.values())
+            for _, _, res in dispute_records(agents, xc, strategy, None, tcfg.seed)
+        ]
+        for strategy in tcfg.strategies
+    }
 
 
 def ecdf_privacy_cost(cfg: TrialConfig, n_trials: int, jobs: int = 1):
@@ -236,16 +214,9 @@ def ecdf_privacy_cost(cfg: TrialConfig, n_trials: int, jobs: int = 1):
         raise InputError("need at least one trial")
     tasks = [(cfg, s) for s in trial_seeds(cfg.seed, n_trials)]
     samples = {s: [] for s in cfg.strategies}
-    if jobs > 1:
-        with Pool(processes=jobs) as pool:
-            results = pool.imap(_ecdf_worker, tasks)
-            for chunk in results:
-                for s, vals in chunk.items():
-                    samples[s].extend(vals)
-    else:
-        for task in tasks:
-            for s, vals in _ecdf_worker(task).items():
-                samples[s].extend(vals)
+    for chunk in parallel_map(_ecdf_worker, tasks, jobs):
+        for s, vals in chunk.items():
+            samples[s].extend(vals)
     return {s: _ecdf_from_samples(s, vals) for s, vals in samples.items()}
 
 

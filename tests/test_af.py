@@ -159,6 +159,23 @@ def test_sceptical_fast_path_on_random_bipartite():
             assert sceptically_accepted(x, af) == all(x in e for e in exts)
 
 
+def test_sceptical_on_alive_mask_matches_built_subframework():
+    rng = random.Random(41)
+    for _ in range(300):
+        af = random_framework(rng, max_args=10)
+        alive = rng.getrandbits(af.n_args)
+        kept = [x for x in range(af.n_args) if alive >> x & 1]
+        index = {x: i for i, x in enumerate(kept)}
+        sub = Framework(len(kept), tuple(
+            (index[a], index[b]) for a, b in af.attacks if a in index and b in index
+        ))
+        exts = preferred_extensions(sub, method="oracle")
+        for x in kept:
+            expected = all(index[x] in e for e in exts)
+            assert sceptically_accepted(x, af, alive) == expected
+            assert sceptically_accepted(index[x], sub) == expected
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_preferred_are_maximal_admissible(data):
@@ -205,6 +222,10 @@ def test_validation_errors():
     af = Framework(2, ())
     with pytest.raises(InputError):
         sceptically_accepted(5, af)
+    with pytest.raises(InputError):
+        sceptically_accepted(0, af, alive=0b10)  # x outside the mask
+    with pytest.raises(InputError):
+        sceptically_accepted(0, af, alive=0b101)  # mask outside the framework
     with pytest.raises(InputError):
         preferred_extensions(af, method="nonsense")
 

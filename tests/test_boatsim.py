@@ -7,7 +7,7 @@ import pytest
 
 from fairdial.boatsim.harness import (
     BoatExperimentConfig,
-    modes_for,
+    encounter_rows,
     run_boat_experiment,
     write_boat_encounters_csv,
     write_boat_summary_csv,
@@ -155,6 +155,18 @@ def test_world_config_validation():
         WorldConfig(n_agents=0)
     with pytest.raises(InputError):
         WorldConfig(r_crit=1000.0, r_max=1000.0)
+    with pytest.raises(InputError):
+        WorldConfig(n_agents="x")
+    with pytest.raises(InputError):
+        WorldConfig(n_agents=4.0)
+    with pytest.raises(InputError):
+        WorldConfig(tick=-1)
+    with pytest.raises(InputError):
+        WorldConfig(max_time=float("nan"))
+    with pytest.raises(InputError):
+        PhysicsParams(yaw_tau=0)
+    with pytest.raises(InputError):
+        PhysicsParams(top_speed="fast")
 
 
 def test_init_parade_layout():
@@ -391,7 +403,7 @@ def test_boat_experiment_tiny_run(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text(encoding="utf-8").splitlines()[0]
     assert header.split(",")[:4] == ["trial", "strategy", "agent", "omega"]
-    write_boat_encounters_csv(summaries, p1)
+    write_boat_encounters_csv(encounter_rows(summaries), p1)
     lines = p1.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("trial,strategy,mode,first")
     assert len(lines) > 1
@@ -415,13 +427,6 @@ def test_trajectory_csv(tmp_path):
     assert lines[0] == ("trial,mode,strategy,agent,t,x,y,heading,"
                         "speed,lat_acc,yaw_rate,lat_jerk")
     assert len(lines) > 10
-
-
-def test_modes_for():
-    assert modes_for("all") == ("nominal", "subjective", "objective")
-    assert modes_for("nominal") == ("nominal",)
-    with pytest.raises(InputError):
-        modes_for("both")
 
 
 def test_experiment_config_validation():

@@ -4,10 +4,12 @@ import csv
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from fairdial.cli import main
+from fairdial.randexp import trial_seeds
 
 
 def run_cli(capsys, *argv):
@@ -167,10 +169,50 @@ def test_sweep_writes_outputs_and_manifest(capsys, tmp_path):
         trecs = list(csv.reader(fh))
     assert trecs[0] == ["trial", "pr_id", "op_id", "strategy", "g", "winner",
                         "termination", "spent_pr", "spent_op", "move_list"]
-    assert len(trecs) == 1 + 2 * 4 * 3 * 12  # trials x strats x grid x pairs
+    assert len(trecs) == 1 + 2 * 4 * 4 * 12  # trials x strats x (grid + unrestricted) x pairs
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "sweep"
     assert manifest["config"]["budget_grid"] == [0, 10, 20]
+
+
+def test_transcripts_hold_every_scored_dialogue(capsys, tmp_path):
+    out = tmp_path / "sweeprun"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--agents", "4", "--args", "5", "--attacks", "7",
+        "--budget-max", "20", "--budget-step", "10", "--trials", "2",
+        "--seed", "9", "--log-transcripts", "--out", str(out))
+    assert code == 0
+    seeds = [str(s) for s in trial_seeds(9, 2)]
+    dialogues, forced = Counter(), Counter()
+    with open(out / "transcripts.csv", newline="") as fh:
+        for r in csv.DictReader(fh):
+            key = (seeds[int(r["trial"])], r["strategy"], r["g"])
+            dialogues[key] += 1
+            forced[key] += r["termination"] == "budget_forced"
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    pairs = 4 * 3
+    assert set(dialogues) == {(r["seed"], r["strategy"], r["g"]) for r in rows}
+    for r in rows:  # the unrestricted row included
+        key = (r["seed"], r["strategy"], r["g"])
+        assert dialogues[key] == pairs
+        assert forced[key] == round(float(r["mean_l_SL"]) * pairs)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--jobs", "0"],
+    ["sweep", "--jobs", "-3"],
+    ["ecdf", "--jobs", "0"],
+    ["boats", "--jobs", "-3"],
+    ["sweep", "--budget-step", "0"],
+])
+def test_counts_below_one_are_usage_errors(capsys, tmp_path, argv):
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rerun_reproduces_bytes(capsys, tmp_path):
@@ -241,6 +283,20 @@ def test_boats_rejects_unknown_world_key(capsys, tmp_path):
         capsys, "boats", "--mode", "nominal", "--trials", "1",
         "--config", str(override), "--out", str(tmp_path / "x"))
     assert code == 1 and "arena_len" in err
+
+
+@pytest.mark.parametrize("text", [
+    "[1]", '{"n_agents": "x"}', '{"tick": -1}', '{"physics": 5}', "{",
+])
+def test_boats_rejects_bad_config_before_writing(capsys, tmp_path, text):
+    override = tmp_path / "world.json"
+    override.write_text(text, encoding="utf-8")
+    out = tmp_path / "x"
+    code, _, err = run_cli(
+        capsys, "boats", "--mode", "nominal", "--trials", "1",
+        "--config", str(override), "--out", str(out))
+    assert code == 1 and err.startswith("fairdial:")
+    assert not out.exists()
 
 
 def test_seed_falls_back_to_environment(capsys, tmp_path, monkeypatch):

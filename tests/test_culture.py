@@ -17,13 +17,15 @@ from fairdial.culture import (
     culture_to_dict,
     expand,
     generate_random_culture,
-    instantiate_ground_truth_framework,
     load_culture,
     sample_boat_agent,
     save_culture,
     verify_fact,
 )
+from fairdial._util import iter_bits
+from fairdial.af import Framework, preferred_extensions
 from fairdial.errors import InputError, ParseError
+from fairdial.fairness import objective_outcome
 
 
 def example_culture(x_costs=None):
@@ -152,63 +154,103 @@ def test_ledger_rejects_conflicting_disclosure():
     assert ledger.value("op", 2) is None
 
 
-# ------------------------------------------------------- ground truth framework
+# ------------------------------------------------------------- true facts
 
-def test_ground_truth_identical_descriptions_drop_all_facts():
+def fact_labels(xc, mask):
+    return sorted(xc.x_args[x].label for x in range(xc.n_x) if mask >> x & 1)
+
+
+def induced_framework(xc, alive):
+    """The expansion restricted to ``alive``, rebuilt node by node."""
+    kept = [x for x in range(xc.n_x) if alive >> x & 1]
+    index = {x: i for i, x in enumerate(kept)}
+    attacks = tuple(
+        (index[a], index[b]) for a, b in xc.x_attacks if a in index and b in index
+    )
+    return Framework(len(kept), attacks), index
+
+
+def test_true_facts_identical_descriptions_hold_none():
     xc = expand(example_culture())
-    inst = instantiate_ground_truth_framework(
-        xc, FeatureDescription((3, 3)), FeatureDescription((3, 3))
-    )
-    kinds = [xc.x_args[x].kind for x in inst.x_ids]
-    assert all(k == "H" for k in kinds)
-    assert len(inst.x_ids) == 6
+    d = FeatureDescription((3, 3))
+    assert xc.true_fact_masks(d, d) == (0, 0)
 
 
-def test_ground_truth_dominant_proponent_keeps_only_pr_facts():
+def test_true_facts_dominant_proponent_keeps_only_pr_facts():
     xc = expand(example_culture())
-    inst = instantiate_ground_truth_framework(
-        xc, FeatureDescription((9, 9)), FeatureDescription((1, 1))
+    pr_mask, op_mask = xc.true_fact_masks(
+        FeatureDescription((9, 9)), FeatureDescription((1, 1))
     )
-    facts = [xc.x_args[x] for x in inst.x_ids if xc.x_args[x].kind == "F"]
-    assert {a.owner for a in facts} == {"pr"}
-    assert len(facts) == 2
+    assert fact_labels(xc, pr_mask) == ["age_F^pr", "health_F^pr"]
+    assert op_mask == 0
 
 
-def test_ground_truth_mixed_case_survivors():
-    # proponent older-is-lower here: feature 0 favours op, feature 1 favours pr
+def test_true_facts_mixed_case():
+    # feature 0 favours op, feature 1 favours pr
     xc = expand(example_culture())
-    inst = instantiate_ground_truth_framework(
-        xc, FeatureDescription((1, 2)), FeatureDescription((2, 1))
+    pr_mask, op_mask = xc.true_fact_masks(
+        FeatureDescription((1, 2)), FeatureDescription((2, 1))
     )
-    fact_labels = sorted(
-        xc.x_args[x].label for x in inst.x_ids if xc.x_args[x].kind == "F"
-    )
-    assert fact_labels == ["age_F^op", "health_F^pr"]
+    assert fact_labels(xc, pr_mask) == ["health_F^pr"]
+    assert fact_labels(xc, op_mask) == ["age_F^op"]
 
 
-def test_ground_truth_mirror_symmetry():
+def test_true_facts_mirror_symmetry():
     xc = expand(example_culture())
     rng = random.Random(2)
+
+    def mirror(x):
+        arg = xc.x_args[x]
+        other = "op" if arg.owner == "pr" else "pr"
+        if arg.kind == "H":
+            return xc.hypothesis(arg.origin, other)
+        return xc.fact(arg.origin, other)
+
+    hyps = xc.hyp_masks[0] | xc.hyp_masks[1]
     for _ in range(20):
         d1 = FeatureDescription((rng.randint(0, 4), rng.randint(0, 4)))
         d2 = FeatureDescription((rng.randint(0, 4), rng.randint(0, 4)))
-        a = instantiate_ground_truth_framework(xc, d1, d2)
-        b = instantiate_ground_truth_framework(xc, d2, d1)
-
-        def mirror(x):
-            arg = xc.x_args[x]
-            other = "op" if arg.owner == "pr" else "pr"
-            if arg.kind == "H":
-                return xc.hypothesis(arg.origin, other)
-            return xc.fact(arg.origin, other)
-
-        assert sorted(mirror(x) for x in a.x_ids) == sorted(b.x_ids)
+        a_pr, a_op = xc.true_fact_masks(d1, d2)
+        b_pr, b_op = xc.true_fact_masks(d2, d1)
+        assert sorted(mirror(x) for x in iter_bits(a_pr)) == list(iter_bits(b_op))
+        assert sorted(mirror(x) for x in iter_bits(a_op)) == list(iter_bits(b_pr))
+        alive_a, alive_b = hyps | a_pr | a_op, hyps | b_pr | b_op
         mapped = {
-            (mirror(a.x_ids[i]), mirror(a.x_ids[j]))
-            for i, j in a.framework.attacks
+            (mirror(x), mirror(y)) for x, y in xc.x_attacks
+            if alive_a >> x & 1 and alive_a >> y & 1
         }
-        actual = {(b.x_ids[i], b.x_ids[j]) for i, j in b.framework.attacks}
+        actual = {
+            (x, y) for x, y in xc.x_attacks if alive_b >> x & 1 and alive_b >> y & 1
+        }
         assert mapped == actual
+
+
+def test_referee_matches_oracle_on_small_cultures():
+    # slow reference: rebuild the referee's subframework and enumerate its
+    # preferred extensions exhaustively
+    rng = random.Random(5)
+    for _ in range(120):
+        n_args = rng.randint(2, 4)  # at most 14 expanded nodes
+        args = [CultureArgument(0, "motion", True, 0)] + [
+            CultureArgument(i, f"a{i}", False, 1) for i in range(1, n_args)
+        ]
+        attacks = [
+            (a, b) for a in range(n_args) for b in range(n_args)
+            if a != b and rng.random() < 0.4
+        ]
+        xc = expand(Culture(args=tuple(args), attacks=frozenset(attacks)))
+        motion = xc.hypothesis(0, "pr")
+        for _ in range(4):
+            d_pr, d_op = (
+                FeatureDescription(tuple(rng.randint(0, 2) for _ in range(n_args - 1)))
+                for _ in range(2)
+            )
+            true_pr, true_op = xc.true_fact_masks(d_pr, d_op)
+            alive = xc.hyp_masks[0] | xc.hyp_masks[1] | true_pr | true_op
+            fw, index = induced_framework(xc, alive)
+            exts = preferred_extensions(fw, method="oracle")
+            expected = "pr" if all(index[motion] in e for e in exts) else "op"
+            assert objective_outcome(d_pr, d_op, xc) == expected
 
 
 # ---------------------------------------------------------------- generation
