@@ -13,6 +13,7 @@ from .culture import (
     CultureArgument,
     ExpandedCulture,
     FeatureDescription,
+    Move,
     RevealedLedger,
     Verdict,
     builtin_boat_culture,
@@ -26,7 +27,6 @@ from .culture import (
 from .dialogue import (
     DialogueResult,
     DialogueState,
-    Move,
     STRATEGIES,
     affordable,
     choose,

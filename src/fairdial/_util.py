@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
+import os
 
 from .errors import InputError
 
@@ -30,15 +31,21 @@ def iter_bits(mask: int):
         mask ^= low
 
 
-def parallel_map(fn, tasks, jobs: int = 1) -> list:
-    """``[fn(t) for t in tasks]``, spread over ``jobs`` worker processes.
-
-    Results come back in task order, so nothing downstream depends on
-    ``jobs``.  ``fn`` must be a module-level function; workers are spawned
-    and import it afresh.
-    """
+def worker_count(jobs: int) -> int:
+    """``jobs`` capped at the machine's CPU count; below 1 is an error."""
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
+def parallel_map(fn, tasks, jobs: int = 1) -> list:
+    """``[fn(t) for t in tasks]``, spread over up to ``jobs`` worker processes.
+
+    Results come back in task order, so nothing downstream depends on
+    ``jobs``, which is capped by ``worker_count``.  ``fn`` must be a
+    module-level function; workers are spawned and import it afresh.
+    """
+    jobs = worker_count(jobs)
     if jobs == 1:
         return [fn(t) for t in tasks]
     with multiprocessing.get_context("spawn").Pool(processes=jobs) as pool:

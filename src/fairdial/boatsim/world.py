@@ -45,6 +45,9 @@ OBJECTIVE = "objective"
 MODES = (NOMINAL, SUBJECTIVE, OBJECTIVE)
 
 _FINITE_CHECK_EVERY = 400  # ticks between non-finite state sweeps
+# A world preallocates six (ticks x boats) float arrays, so a config may ask
+# for at most this many ticks (max_time / tick); the default is 30,000.
+MAX_TICKS = 200_000
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,11 @@ class WorldConfig:
                 raise InputError(f"{name} must be non-negative")
         if not 0 < self.r_crit < self.r_max:
             raise InputError("need 0 < r_crit < r_max")
+        if self.max_time / self.tick > MAX_TICKS:
+            raise InputError(
+                f"max_time / tick asks for {self.max_time / self.tick:.4g} ticks;"
+                f" at most {MAX_TICKS} are allowed"
+            )
 
 
 _POSITIVE_FIELDS = (

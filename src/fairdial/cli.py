@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 data or runtime error, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -257,9 +258,18 @@ _EXECUTORS = {
 
 def _run_command(command: str, config: dict, out_dir) -> int:
     out_dir = Path(out_dir)
+    created = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
-    outputs = _EXECUTORS[command](config, out_dir)
+    try:
+        outputs = _EXECUTORS[command](config, out_dir)
+    except BaseException:
+        if created:
+            # a run that fails before writing anything leaves no directory;
+            # rmdir refuses a directory that is no longer empty
+            with contextlib.suppress(OSError):
+                os.rmdir(out_dir)
+        raise
     _write_manifest(out_dir, command, config, outputs, started)
     for name in outputs:
         print(f"wrote {out_dir / name}")
@@ -421,12 +431,20 @@ def _cmd_boats(args) -> int:
 def _cmd_rerun(args) -> int:
     manifest_path = Path(args.manifest)
     with open(manifest_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{manifest_path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputError(f"{manifest_path}: a manifest must be a JSON object")
     command = doc.get("command")
     if command not in _EXECUTORS:
         raise InputError(f"manifest names unknown command {command!r}")
+    config = doc.get("config")
+    if not isinstance(config, dict):
+        raise InputError(f"{manifest_path}: manifest has no \"config\" object")
     out_dir = Path(args.out) if args.out else manifest_path.parent
-    return _run_command(command, doc["config"], out_dir)
+    return _run_command(command, config, out_dir)
 
 
 # ---------------------------------------------------------------- parser
@@ -498,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--cost-max", type=int, default=20)
     p_sweep.add_argument("--budget-max", type=int, default=60)
     p_sweep.add_argument("--budget-step", type=_positive_int, default=5)
-    p_sweep.add_argument("--trials", type=int, default=200)
+    p_sweep.add_argument("--trials", type=_positive_int, default=200)
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--jobs", type=_positive_int, default=1)
     p_sweep.add_argument("--log-transcripts", action="store_true",
@@ -512,7 +530,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ecdf.add_argument("--attacks", type=int, default=48)
     p_ecdf.add_argument("--cost-min", type=int, default=1)
     p_ecdf.add_argument("--cost-max", type=int, default=20)
-    p_ecdf.add_argument("--trials", type=int, default=50)
+    p_ecdf.add_argument("--trials", type=_positive_int, default=50)
     p_ecdf.add_argument("--seed", type=int, default=None)
     p_ecdf.add_argument("--jobs", type=_positive_int, default=1)
     p_ecdf.add_argument("--out", required=True)
@@ -522,7 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_boats.add_argument("--strategy", choices=STRATEGIES + ("all",), default="all")
     p_boats.add_argument("--budget", type=int, default=30,
                          help="per-player dialogue budget")
-    p_boats.add_argument("--trials", type=int, default=10)
+    p_boats.add_argument("--trials", type=_positive_int, default=10)
     p_boats.add_argument("--seed", type=int, default=None)
     p_boats.add_argument("--mode", choices=MODES + ("all",), default="all")
     p_boats.add_argument("--jobs", type=_positive_int, default=1)

@@ -158,6 +158,15 @@ class ExpandedArgument:
     label: str
 
 
+@dataclass(frozen=True)
+class Move:
+    """One utterance in a dialogue: who said which node, at what cost."""
+
+    player: str
+    x_arg: int
+    cost_charged: int
+
+
 class ExpandedCulture:
     """The two-party expansion of a culture, with derived lookup tables.
 
@@ -310,6 +319,17 @@ class ExpandedCulture:
             elif op_vals[pos] > pr_vals[pos]:
                 op_mask |= op_bits[pos]
         return pr_mask, op_mask
+
+    @cached_property
+    def moves(self) -> tuple:
+        """The Move uttering each node, shared by every transcript.
+
+        Only a node's owner may ever utter it, so a node fixes its Move.
+        """
+        return tuple(
+            Move(player=a.owner, x_arg=a.x_id, cost_charged=a.cost)
+            for a in self.x_args
+        )
 
     @cached_property
     def framework(self) -> Framework:

@@ -34,13 +34,6 @@ BUDGET_FORCED = "budget_forced"
 
 
 @dataclass(frozen=True)
-class Move:
-    player: str
-    x_arg: int
-    cost_charged: int
-
-
-@dataclass(frozen=True)
 class DialogueResult:
     winner: str
     transcript: tuple
@@ -60,7 +53,8 @@ class DialogueState:
         "used", "attacked", "usable", "ledger", "_true_facts",
     )
 
-    def __init__(self, xc: ExpandedCulture, pr_desc, op_desc, g):
+    def __init__(self, xc: ExpandedCulture, pr_desc, op_desc, g, *,
+                 true_facts=None):
         if g is not None and g < 0:
             raise InputError("budget must be non-negative")
         n_features = len(xc.base.non_motion_ids)
@@ -77,8 +71,12 @@ class DialogueState:
         self.used = 0
         self.attacked = 0
         self.ledger = RevealedLedger()
-        # a true fact becomes usable only once the adversary's value is on record
-        self._true_facts = xc.true_fact_masks(pr_desc, op_desc)
+        # a true fact becomes usable only once the adversary's value is on
+        # record; ``true_facts`` lets a caller playing one pair many times
+        # pass xc.true_fact_masks(pr_desc, op_desc) in, computed once
+        if true_facts is None:
+            true_facts = xc.true_fact_masks(pr_desc, op_desc)
+        self._true_facts = true_facts
         self.usable = [xc.hyp_masks[0], xc.hyp_masks[1]]
 
     def remaining(self, role_index: int):
@@ -157,18 +155,19 @@ def choose(strategy: str, candidates, xc: ExpandedCulture, rng=None):
 
 
 def run_dispute(pr_desc, op_desc, xc: ExpandedCulture, strategy: str, g,
-                rng=None) -> DialogueResult:
+                rng=None, *, true_facts=None) -> DialogueResult:
     """Play one dispute to completion and classify its termination.
 
     ``g`` is the per-player privacy budget; ``None`` means unrestricted.
     Both players follow the same ``strategy``.  ``rng`` (a random.Random)
-    is consulted only by the random strategy.
+    is consulted only by the random strategy.  ``true_facts``, when given,
+    must equal ``xc.true_fact_masks(pr_desc, op_desc)``.
     """
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}")
     if strategy == RANDOM and rng is None:
         rng = random.Random(0)
-    state = DialogueState(xc, pr_desc, op_desc, g)
+    state = DialogueState(xc, pr_desc, op_desc, g, true_facts=true_facts)
     motion = xc.hypothesis(xc.single_motion_id, PR)
     costs = xc.costs
     if g is not None and costs[motion] > g:
@@ -207,14 +206,10 @@ def run_dispute(pr_desc, op_desc, xc: ExpandedCulture, strategy: str, g,
 
 
 def _result(state: DialogueState, loser: int, termination: str) -> DialogueResult:
-    xc = state.xc
-    transcript = tuple(
-        Move(player=ROLES[i % 2], x_arg=x, cost_charged=xc.costs[x])
-        for i, x in enumerate(state.transcript)
-    )
+    moves = state.xc.moves
     return DialogueResult(
         winner=ROLES[1 - loser],
-        transcript=transcript,
+        transcript=tuple([moves[x] for x in state.transcript]),
         spent={PR: state.spent[0], OP: state.spent[1]},
         termination=termination,
     )

@@ -22,7 +22,7 @@ from fractions import Fraction
 from ._util import derive_seed
 from .af import sceptically_accepted
 from .culture import OP, PR, ExpandedCulture
-from .dialogue import BUDGET_FORCED, DialogueResult, STRATEGIES, run_dispute
+from .dialogue import BUDGET_FORCED, RANDOM, DialogueResult, STRATEGIES, run_dispute
 from .errors import InputError
 
 Y1 = Fraction(2, 3)  # weight of one-sided disagreement
@@ -68,22 +68,52 @@ def ground_truth_matrix(agents, xc: ExpandedCulture) -> OutcomeMatrix:
     return OutcomeMatrix(entries=tuple(rows))
 
 
-def dispute_records(agents, xc: ExpandedCulture, strategy: str, g, seed: int):
-    """Run every ordered-pair dispute once, yielding (pr, op, result).
+def budget_records(agents, xc: ExpandedCulture, strategy: str, budgets,
+                   seed: int):
+    """Play every ordered pair at every budget, yielding (pr, op, results).
 
-    Each pair draws from its own seed stream keyed by (seed, pair, strategy,
-    budget), so results are reproducible pairwise, not just in bulk.
+    ``results[i]`` is the dispute at ``budgets[i]`` (``None`` is
+    unrestricted), exactly as a fresh ``run_dispute`` would play it.  The
+    random strategy draws from a seed stream per (seed, pair, strategy,
+    budget).  A deterministic strategy walks the budgets from the largest
+    down and replays nothing while a budget covers the last dialogue's peak
+    per-player spend: a lower budget only removes candidates, so every pick
+    stays affordable and stays the lowest-key one, and a budget-forced end
+    stays forced.
     """
-    g_key = -1 if g is None else g
+    budgets = tuple(budgets)
+    descending = sorted(range(len(budgets)),
+                        key=lambda i: (budgets[i] is not None, -(budgets[i] or 0)))
     n = len(agents)
     for j in range(n):
         for k in range(n):
             if j == k:
                 continue
-            rng = None
-            if strategy == "random":
-                rng = random.Random(derive_seed(seed, "dlg", j, k, strategy, g_key))
-            yield j, k, run_dispute(agents[j], agents[k], xc, strategy, g, rng=rng)
+            pr, op = agents[j], agents[k]
+            true_facts = xc.true_fact_masks(pr, op)
+            results = [None] * len(budgets)
+            if strategy == RANDOM:
+                for i, g in enumerate(budgets):
+                    g_key = -1 if g is None else g
+                    rng = random.Random(derive_seed(seed, "dlg", j, k, strategy, g_key))
+                    results[i] = run_dispute(pr, op, xc, strategy, g, rng=rng,
+                                             true_facts=true_facts)
+            else:
+                last = peak = None
+                for i in descending:
+                    g = budgets[i]
+                    if last is None or (g is not None and g < peak):
+                        last = run_dispute(pr, op, xc, strategy, g,
+                                           true_facts=true_facts)
+                        peak = max(last.spent.values())
+                    results[i] = last
+            yield j, k, results
+
+
+def dispute_records(agents, xc: ExpandedCulture, strategy: str, g, seed: int):
+    """Run every ordered-pair dispute once at budget ``g``: (pr, op, result)."""
+    for j, k, (res,) in budget_records(agents, xc, strategy, (g,), seed):
+        yield j, k, res
 
 
 def result_matrix(agents, xc: ExpandedCulture, strategy: str, g,

@@ -20,6 +20,7 @@ from .culture import FeatureDescription, expand, generate_random_culture
 from .dialogue import BUDGET_FORCED, STRATEGIES
 from .errors import InputError
 from .fairness import (
+    budget_records,
     dispute_records,
     ground_truth_matrix,
     global_losses,
@@ -98,43 +99,42 @@ def _population(cfg: TrialConfig):
     return xc, agents
 
 
-def _pair_results(agents, xc, strategy, g, seed):
-    """Outcome matrix plus budget-forced count for one (strategy, g) cell."""
-    n = len(agents)
-    rows = [[None] * n for _ in range(n)]
-    forced = 0
-    for j, k, res in dispute_records(agents, xc, strategy, g, seed):
-        rows[j][k] = res.winner
-        if res.termination == BUDGET_FORCED:
-            forced += 1
-    return OutcomeMatrix(entries=tuple(tuple(r) for r in rows)), forced
-
-
 def run_trial(cfg: TrialConfig):
-    """All (strategy, budget) rows for one trial seed."""
+    """All (strategy, budget) rows for one trial seed.
+
+    Outcomes reduce as the pairs stream past: one winner matrix plus
+    budget-forced and referee-mismatch counts per budget, never a table of
+    dialogue results.
+    """
     xc, agents = _population(cfg)
     gt = ground_truth_matrix(agents, xc)
     gt_graph = precedence_graph(gt)
     n = cfg.n_agents
     n_pairs = n * (n - 1)
+    budgets = cfg.budgets
     rows = []
     for strategy in cfg.strategies:
-        for g in cfg.budgets:
-            matrix, forced = _pair_results(agents, xc, strategy, g, cfg.seed)
-            wrong = sum(
-                1
-                for j in range(n)
-                for k in range(n)
-                if j != k and matrix.winner(j, k) != gt.winner(j, k)
-            )
+        winners = [[[None] * n for _ in range(n)] for _ in budgets]
+        forced = [0] * len(budgets)
+        wrong = [0] * len(budgets)
+        for j, k, results in budget_records(agents, xc, strategy, budgets, cfg.seed):
+            truth = gt.entries[j][k]
+            for b, res in enumerate(results):
+                winners[b][j][k] = res.winner
+                if res.termination == BUDGET_FORCED:
+                    forced[b] += 1
+                if res.winner != truth:
+                    wrong[b] += 1
+        for b, g in enumerate(budgets):
+            matrix = OutcomeMatrix(entries=tuple(tuple(r) for r in winners[b]))
             k_raw, k_norm = global_losses(gt_graph, precedence_graph(matrix))
             rows.append(
                 TrialRow(
                     seed=cfg.seed,
                     strategy=strategy,
                     g=xc.total_cost if g is None else g,
-                    mean_l_sl=forced / n_pairs,
-                    mean_l_ol=wrong / n_pairs,
+                    mean_l_sl=forced[b] / n_pairs,
+                    mean_l_ol=wrong[b] / n_pairs,
                     k_raw=k_raw,
                     k_norm=k_norm,
                     unrestricted=g is None,

@@ -26,6 +26,7 @@ from fairdial.boatsim.physics import (
     wrap_angle,
 )
 from fairdial.boatsim.world import (
+    MAX_TICKS,
     BoatAgent,
     BoatTrialResult,
     Telemetry,
@@ -163,6 +164,13 @@ def test_world_config_validation():
         WorldConfig(tick=-1)
     with pytest.raises(InputError):
         WorldConfig(max_time=float("nan"))
+    with pytest.raises(InputError, match="ticks"):
+        WorldConfig(tick=1e-6)  # 1.5e9 ticks of preallocated trajectory
+    with pytest.raises(InputError, match="ticks"):
+        WorldConfig(tick=5e-324)  # max_time / tick overflows to inf
+    WorldConfig(max_time=MAX_TICKS * 0.25, tick=0.25)
+    with pytest.raises(InputError, match="ticks"):
+        WorldConfig(max_time=(MAX_TICKS + 1) * 0.25, tick=0.25)
     with pytest.raises(InputError):
         PhysicsParams(yaw_tau=0)
     with pytest.raises(InputError):

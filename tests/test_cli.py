@@ -205,6 +205,9 @@ def test_transcripts_hold_every_scored_dialogue(capsys, tmp_path):
     ["ecdf", "--jobs", "0"],
     ["boats", "--jobs", "-3"],
     ["sweep", "--budget-step", "0"],
+    ["sweep", "--trials", "0"],
+    ["ecdf", "--trials", "0"],
+    ["boats", "--trials", "-1"],
 ])
 def test_counts_below_one_are_usage_errors(capsys, tmp_path, argv):
     out = tmp_path / "never"
@@ -235,6 +238,39 @@ def test_rerun_rejects_foreign_manifest(capsys, tmp_path):
     bad.write_text(json.dumps({"command": "make-coffee", "config": {}}))
     code, _, err = run_cli(capsys, "rerun", str(bad))
     assert code == 1 and "make-coffee" in err
+
+
+@pytest.mark.parametrize("text", [
+    "{", "[1]", json.dumps({"command": "sweep"}),
+    json.dumps({"command": "sweep", "config": 5}),
+], ids=["invalid-json", "not-an-object", "no-config", "config-not-an-object"])
+def test_rerun_rejects_bad_manifest(capsys, tmp_path, text):
+    bad = tmp_path / "manifest.json"
+    bad.write_text(text, encoding="utf-8")
+    out = tmp_path / "never"
+    code, _, err = run_cli(capsys, "rerun", str(bad), "--out", str(out))
+    assert code == 1 and err.startswith("fairdial:")
+    assert not out.exists()
+
+
+def test_failed_run_removes_only_the_directory_it_created(capsys, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "sweep", "config": {
+        "agents": 4, "args": 5, "attacks": 7, "cost_range": [1, 20],
+        "budget_grid": [0, 10], "trials": 0, "seed": 1,
+    }}), encoding="utf-8")
+    out = tmp_path / "new" / "run"
+    code, _, err = run_cli(capsys, "rerun", str(manifest), "--out", str(out))
+    assert code == 1 and "at least one trial" in err
+    assert not out.exists()
+    # a directory that was there before the run stays, with its contents
+    code, _, _ = run_cli(capsys, "rerun", str(manifest))
+    assert code == 1
+    assert manifest.exists()
+    (tmp_path / "empty").mkdir()
+    code, _, _ = run_cli(capsys, "rerun", str(manifest),
+                         "--out", str(tmp_path / "empty"))
+    assert code == 1 and (tmp_path / "empty").is_dir()
 
 
 def test_ecdf_command(capsys, tmp_path):

@@ -24,6 +24,7 @@ from fairdial.dialogue import (
     run_dispute,
 )
 from fairdial.errors import InputError
+from fairdial.randexp import TrialConfig, _population
 
 
 def example_xc(x_costs=None):
@@ -229,6 +230,21 @@ def test_random_strategy_reproduces_under_the_same_seed():
     a = run_dispute(pr, op, xc, "random", g=30, rng=random.Random(42))
     b = run_dispute(pr, op, xc, "random", g=30, rng=random.Random(42))
     assert a == b
+
+
+def test_move_player_is_the_node_owner():
+    """Transcripts share one Move per node; its player must be the owner."""
+    xc, agents = _population(TrialConfig(seed=12))
+    assert [m.player for m in xc.moves] == [a.owner for a in xc.x_args]
+    for strategy in STRATEGIES:
+        for g in (None, 0, 10, 25, 40):
+            for k in range(1, len(agents)):
+                res = run_dispute(agents[0], agents[k], xc, strategy, g,
+                                  rng=random.Random(k))
+                for i, move in enumerate(res.transcript):
+                    assert move.player == xc.x_args[move.x_arg].owner
+                    assert move.player == ("pr", "op")[i % 2]
+                    assert move.cost_charged == xc.costs[move.x_arg]
 
 
 # --------------------------------------------------- transcript-level checks

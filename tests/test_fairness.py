@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fairdial._util import derive_seed
 from fairdial.culture import (
     Culture,
     CultureArgument,
@@ -12,10 +13,12 @@ from fairdial.culture import (
     expand,
     generate_random_culture,
 )
+from fairdial.dialogue import STRATEGIES, run_dispute
 from fairdial.errors import InputError
 from fairdial.fairness import (
     OutcomeMatrix,
     PrecedenceGraph,
+    budget_records,
     dag_dissimilarity,
     dispute_records,
     global_losses,
@@ -28,6 +31,7 @@ from fairdial.fairness import (
     subjective_local_loss,
     theorem1_check,
 )
+from fairdial.randexp import TrialConfig, _population
 
 
 def example_xc():
@@ -214,6 +218,51 @@ def test_dispute_records_cover_all_ordered_pairs():
     agents = random_agents(4, 2, rng)
     seen = {(j, k) for j, k, _ in dispute_records(agents, xc, "min_cost", None, 0)}
     assert seen == {(j, k) for j in range(4) for k in range(4) if j != k}
+
+
+def _fresh(agents, xc, strategy, j, k, g, seed):
+    rng = None
+    if strategy == "random":
+        g_key = -1 if g is None else g
+        rng = random.Random(derive_seed(seed, "dlg", j, k, strategy, g_key))
+    return run_dispute(agents[j], agents[k], xc, strategy, g, rng=rng)
+
+
+def _assert_budget_records_match_fresh(agents, xc, budgets, seed):
+    n = len(agents)
+    for strategy in STRATEGIES:
+        seen = 0
+        for j, k, results in budget_records(agents, xc, strategy, budgets, seed):
+            assert len(results) == len(budgets)
+            for g, res in zip(budgets, results):
+                fresh = _fresh(agents, xc, strategy, j, k, g, seed)
+                assert (res.winner, res.transcript, res.spent, res.termination) == (
+                    fresh.winner, fresh.transcript, fresh.spent, fresh.termination
+                ), (strategy, j, k, g)
+            seen += 1
+        assert seen == n * (n - 1)
+
+
+def test_budget_records_match_fresh_disputes_at_headline_scale():
+    """Reused dialogues equal fresh ones at every sweep budget."""
+    cfg = TrialConfig(seed=derive_seed(3, "trial", 0))
+    xc, agents = _population(cfg)
+    _assert_budget_records_match_fresh(agents, xc, cfg.budgets, cfg.seed)
+
+
+def test_budget_records_match_fresh_disputes_on_small_cultures():
+    rng = random.Random(8)
+    budgets = (None, 0, 3, 7, 12, 20, 35, 60)
+    for trial in range(25):
+        n = rng.randint(2, 8)
+        cul = generate_random_culture(
+            n, rng.randint(n - 1, n * (n - 1) // 2), (1, 20), trial + 300)
+        xc = expand(cul)
+        agents = random_agents(4, n - 1, rng)
+        order = list(budgets)
+        rng.shuffle(order)  # any order of budgets, repeats included
+        _assert_budget_records_match_fresh(
+            agents, xc, tuple(order) + (order[0],), trial)
 
 
 # ------------------------------------------------------------ theorem check

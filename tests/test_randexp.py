@@ -4,13 +4,23 @@ import csv
 
 import pytest
 
+from fairdial import _util
+from fairdial.dialogue import BUDGET_FORCED
 from fairdial.errors import InputError
+from fairdial.fairness import (
+    dispute_records,
+    global_losses,
+    ground_truth_matrix,
+    precedence_graph,
+    result_matrix,
+)
 from fairdial.randexp import (
     DEFAULT_BUDGET_GRID,
     ECDF_COLUMNS,
     SWEEP_COLUMNS,
     TrialConfig,
     TrialRow,
+    _population,
     ecdf_privacy_cost,
     run_trial,
     summarise,
@@ -52,6 +62,38 @@ def test_trial_row_contents():
             assert r.g in (0, 10, 20)
 
 
+def _reference_trial(cfg):
+    """run_trial rebuilt from dispute_records, every budget played afresh."""
+    xc, agents = _population(cfg)
+    gt = ground_truth_matrix(agents, xc)
+    gt_graph = precedence_graph(gt)
+    n_pairs = cfg.n_agents * (cfg.n_agents - 1)
+    rows = []
+    for strategy in cfg.strategies:
+        for g in cfg.budgets:
+            records = list(dispute_records(agents, xc, strategy, g, cfg.seed))
+            forced = sum(res.termination == BUDGET_FORCED for _, _, res in records)
+            wrong = sum(res.winner != gt.winner(j, k) for j, k, res in records)
+            matrix = result_matrix(agents, xc, strategy, g, cfg.seed)
+            k_raw, k_norm = global_losses(gt_graph, precedence_graph(matrix))
+            rows.append(TrialRow(
+                seed=cfg.seed, strategy=strategy,
+                g=xc.total_cost if g is None else g,
+                mean_l_sl=forced / n_pairs, mean_l_ol=wrong / n_pairs,
+                k_raw=k_raw, k_norm=k_norm, unrestricted=g is None,
+            ))
+    return rows
+
+
+@pytest.mark.parametrize("cfg", [
+    TINY,
+    TrialConfig(n_agents=6, n_args=8, n_attacks=16, seed=4),
+    TrialConfig(seed=trial_seeds(2, 1)[0]),
+], ids=["tiny", "small", "headline"])
+def test_run_trial_matches_fresh_per_budget_reference(cfg):
+    assert run_trial(cfg) == _reference_trial(cfg)
+
+
 def test_sweep_is_deterministic():
     a = sweep(TINY, n_trials=3)
     b = sweep(TINY, n_trials=3)
@@ -66,6 +108,27 @@ def test_parallel_sweep_matches_serial():
     serial = sweep(TINY, n_trials=4, jobs=1)
     parallel = sweep(TINY, n_trials=4, jobs=2)
     assert serial == parallel
+
+
+def test_worker_count_caps_jobs_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(_util.os, "cpu_count", lambda: 2)
+    assert _util.worker_count(1) == 1
+    assert _util.worker_count(2) == 2
+    assert _util.worker_count(10**9) == 2
+    monkeypatch.setattr(_util.os, "cpu_count", lambda: None)
+    assert _util.worker_count(8) == 1
+    for bad in (0, -3):
+        with pytest.raises(InputError):
+            _util.worker_count(bad)
+
+
+def test_parallel_map_never_asks_for_more_workers_than_cpus(monkeypatch):
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("no worker process may start")
+
+    monkeypatch.setattr(_util.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(_util.multiprocessing, "get_context", no_pool)
+    assert _util.parallel_map(abs, [-1, 2, -3], jobs=10**9) == [1, 2, 3]
 
 
 def test_trial_seeds_are_stable_and_distinct():
