@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InputError
-from .frechet import discrete_frechet
+from .frechet import frechet_pairs
 from .world import BoatTrialResult, Telemetry, Trajectory
 
 DEFAULT_STRIDE = 20  # ticks between Fréchet samples: 1 s at the 20 Hz tick
@@ -94,22 +94,19 @@ def global_trajectory_losses(nominal: BoatTrialResult,
 
     ``literal_gap`` switches the subjectivity gap to the nominal-versus-
     subjective comparison instead of the default subjective-versus-
-    objective reading.
+    objective reading; that comparison is then computed once for both.
+    Each comparison is one batched Fréchet sweep over all agents, whose
+    traces share a length within a world.
     """
     n = len(nominal.trajectories)
     if not (len(subjective.trajectories) == len(objective.trajectories) == n):
         raise InputError("trials must cover the same agents")
-    omega = []
-    omega_p = []
-    gap = []
-    for i in range(n):
-        j_n = decimate_positions(nominal.trajectories[i], stride)
-        j_s = decimate_positions(subjective.trajectories[i], stride)
-        j_o = decimate_positions(objective.trajectories[i], stride)
-        omega.append(discrete_frechet(j_n, j_o))
-        omega_p.append(discrete_frechet(j_n, j_s))
-        gap.append(
-            discrete_frechet(j_n, j_s) if literal_gap else discrete_frechet(j_s, j_o)
-        )
+    j_n, j_s, j_o = (
+        [decimate_positions(tr, stride) for tr in res.trajectories]
+        for res in (nominal, subjective, objective)
+    )
+    omega = frechet_pairs(j_n, j_o)
+    omega_p = frechet_pairs(j_n, j_s)
+    gap = omega_p if literal_gap else frechet_pairs(j_s, j_o)
     return TrajectoryLosses(omega=tuple(omega), omega_p=tuple(omega_p),
                             gap=tuple(gap))

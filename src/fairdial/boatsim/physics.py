@@ -88,13 +88,28 @@ def step_physics(state: BoatState, controls, params: PhysicsParams,
 
 def step_arrays(xs, ys, headings, speeds, yaw_rates, throttle, yaw_cmd,
                 params: PhysicsParams, dt: float):
-    """Vectorised :func:`step_physics` over agent arrays, updated in place."""
+    """Vectorised :func:`step_physics` over agent arrays, updated in place.
+
+    ``np.minimum(hi, np.maximum(lo, a))`` is ``np.clip(a, lo, hi)`` bit for
+    bit, signed zeros included (both return ``a`` on a tie), at a fraction
+    of ``clip``'s call overhead.
+    """
+    rate_max = params.yaw_rate_max
     accel = (throttle * params.thrust_max - params.drag * speeds**2) / params.mass
-    np.clip(speeds + accel * dt, 0.0, params.top_speed, out=speeds)
-    cmd = np.clip(yaw_cmd, -params.yaw_rate_max, params.yaw_rate_max)
-    yaw_rates += (cmd - yaw_rates) * (dt / params.yaw_tau)
-    np.clip(yaw_rates, -params.yaw_rate_max, params.yaw_rate_max, out=yaw_rates)
+    accel *= dt
+    speeds += accel
+    np.maximum(0.0, speeds, out=speeds)
+    np.minimum(params.top_speed, speeds, out=speeds)
+    cmd = np.maximum(-rate_max, yaw_cmd)
+    np.minimum(rate_max, cmd, out=cmd)
+    cmd -= yaw_rates
+    cmd *= dt / params.yaw_tau
+    yaw_rates += cmd
+    np.maximum(-rate_max, yaw_rates, out=yaw_rates)
+    np.minimum(rate_max, yaw_rates, out=yaw_rates)
     headings += yaw_rates * dt
-    headings[:] = np.pi - np.mod(np.pi - headings, 2.0 * np.pi)
+    turn = np.subtract(np.pi, headings)
+    np.mod(turn, 2.0 * np.pi, out=turn)
+    np.subtract(np.pi, turn, out=headings)
     xs += speeds * np.cos(headings) * dt
     ys += speeds * np.sin(headings) * dt

@@ -45,7 +45,7 @@ OBJECTIVE = "objective"
 MODES = (NOMINAL, SUBJECTIVE, OBJECTIVE)
 
 _FINITE_CHECK_EVERY = 400  # ticks between non-finite state sweeps
-# A world preallocates six (ticks x boats) float arrays, so a config may ask
+# A world preallocates a (ticks x 6 x boats) float array, so a config may ask
 # for at most this many ticks (max_time / tick); the default is 30,000.
 MAX_TICKS = 200_000
 
@@ -292,58 +292,74 @@ def run_boat_trial(world: World, strategy, g, mode: str) -> BoatTrialResult:
     dt = cfg.tick
     max_ticks = int(round(cfg.max_time / dt)) + 1
 
-    xs = np.array([a.start[0] for a in world.agents])
-    ys = np.array([a.start[1] for a in world.agents])
-    goal_x = np.array([a.goal[0] for a in world.agents])
-    goal_y = np.array([a.goal[1] for a in world.agents])
-    headings = np.arctan2(goal_y - ys, goal_x - xs)
-    speeds = np.zeros(n)
-    yaw_rates = np.zeros(n)
+    # The state lives in one (6, n) block whose rows are the working
+    # arrays, so recording a tick is a single row write.  x and y, and
+    # every (x, y) quantity below, share one array so that both components
+    # go through each numpy call together.
+    state = np.zeros((6, n))
+    pos = state[:2]
+    xs, ys, headings, speeds, yaw_rates, lat = state
+    rec = np.empty((max_ticks, 6, n))
+    pos[:] = [[a.start[k] for a in world.agents] for k in (0, 1)]
+    goal = np.array([[a.goal[k] for a in world.agents] for k in (0, 1)])
+    to_goal = goal - pos
+    headings[:] = np.arctan2(to_goal[1], to_goal[0])
+    goal_dist = np.hypot(to_goal[0], to_goal[1])
     arrived = np.zeros(n, dtype=bool)
+    n_arrived = 0
+    moored = np.zeros((n, n), dtype=bool)  # pairs with a moored boat
+    throttle = np.ones(n)
     arrival_tick = np.full(n, -1, dtype=int)
 
-    rec = {
-        name: np.empty((max_ticks, n))
-        for name in ("x", "y", "heading", "speed", "yaw", "lat")
-    }
+    # per-tick work arrays, reused in place
+    delta = np.empty((2, n, n))  # [component, agent, other]: agent - other
+    d = np.empty((n, n))
+    d_flat = d.reshape(-1)
+    d_diag = d_flat[::n + 1]
+    far = np.zeros((n, n), dtype=bool)
+    was_far = np.zeros((n, n), dtype=bool)
+    entered = np.empty((n, n), dtype=bool)
+    # unit vector u to (u_x - beta u_y, u_y + beta u_x): the field bends
+    # toward starboard
+    beta = cfg.starboard_bias
+    swirl = np.array([-beta, beta])[:, None, None]
 
     encounters = {}
     met = np.zeros((n, n), dtype=bool)
-    avoid_perm = np.zeros((n, n), dtype=bool)  # [agent, repulsor]
+    # [agent, repulsor]: 1.0 where the agent yields to the repulsor
+    avoid_perm = np.zeros((n, n))
+    yields = False  # whether avoid_perm holds any pair
     pending = []  # engaged pairs whose field is not yet active
+    pending_arrays = None  # their flat pair indices and activation radii
     # active-field encounters as parallel arrays for the per-tick reflex scan
-    act = {"first": [], "second": [], "winner": [], "loser": [], "yielding": []}
+    act = {"pair": [], "winner": [], "loser": [], "yielding": []}
     act_arrays = None
-    prev_d = None
     eps = 1e-9
     ticks_done = 0
 
     for tick in range(max_ticks):
         t = tick * dt
-        rec["x"][tick] = xs
-        rec["y"][tick] = ys
-        rec["heading"][tick] = headings
-        rec["speed"][tick] = speeds
-        rec["yaw"][tick] = yaw_rates
-        rec["lat"][tick] = speeds * yaw_rates
+        rec[tick] = state
         ticks_done = tick + 1
-        if arrived.all():
+        if n_arrived == n:
             break
 
-        dx = xs[:, None] - xs[None, :]
-        dy = ys[:, None] - ys[None, :]
-        d = np.hypot(dx, dy)
-        np.fill_diagonal(d, np.inf)
-        if arrived.any():
+        np.subtract(pos[:, :, None], pos[:, None, :], out=delta)
+        np.hypot(delta[0], delta[1], out=d)
+        d_diag[:] = np.inf
+        if n_arrived:
             # moored boats neither trigger encounters nor exert fields
-            d[arrived, :] = np.inf
-            d[:, arrived] = np.inf
+            d[moored] = np.inf
 
-        if prev_d is not None:
-            hits = np.argwhere(
-                ~met & (prev_d > cfg.r_max) & (d <= cfg.r_max)
-            )
-            for i, j in hits:
+        # A pair enters sensor range when it was beyond r_max last tick and
+        # is not now.  (A NaN distance reads as in range here, but a NaN
+        # state always ends the trial in SimulationFault.)
+        np.greater(d, cfg.r_max, out=far)
+        np.greater(was_far, far, out=entered)
+        was_far, far = far, was_far
+        if np.count_nonzero(entered):
+            entered &= ~met
+            for i, j in np.argwhere(entered):
                 if i >= j:
                     continue
                 i, j = int(i), int(j)
@@ -351,123 +367,123 @@ def run_boat_trial(world: World, strategy, g, mode: str) -> BoatTrialResult:
                 enc = resolve_encounter(world, i, j, strategy, g, mode, xc, t)
                 encounters[i, j] = enc
                 pending.append(enc)
+                pending_arrays = None
 
         if pending:
-            still = []
-            for enc in pending:
-                if d[enc.first, enc.second] <= enc.r_act:
+            if pending_arrays is None:
+                pending_arrays = (
+                    np.array([enc.first * n + enc.second for enc in pending]),
+                    np.array([enc.r_act for enc in pending]),
+                )
+            on = d_flat[pending_arrays[0]] <= pending_arrays[1]
+            if np.count_nonzero(on):
+                for enc, engaged in zip(pending, on.tolist()):
+                    if not engaged:
+                        continue
                     enc.t_field_on = t
                     if enc.yielding:
-                        avoid_perm[enc.loser, enc.winner] = True
-                    act["first"].append(enc.first)
-                    act["second"].append(enc.second)
+                        avoid_perm[enc.loser, enc.winner] = 1.0
+                        yields = True
+                    act["pair"].append(enc.first * n + enc.second)
                     act["winner"].append(enc.winner)
                     act["loser"].append(enc.loser)
                     act["yielding"].append(enc.yielding)
-                    act_arrays = None
-                else:
-                    still.append(enc)
-            pending = still
+                act_arrays = None
+                pending = [enc for enc in pending if enc.t_field_on is None]
+                pending_arrays = None
 
-        avoid = avoid_perm.copy()
-        if act["first"]:
+        avoid = avoid_perm
+        if act["pair"]:
             if act_arrays is None:
                 act_arrays = {k: np.array(v) for k, v in act.items()}
-            dvals = d[act_arrays["first"], act_arrays["second"]]
-            crit = dvals < cfg.r_crit
-            if crit.any():
+            crit = d_flat[act_arrays["pair"]] < cfg.r_crit
+            if np.count_nonzero(crit):
                 # collision reflex: the winner diverts too; a non-yielding
                 # loser keeps ignoring its opponent outright
-                avoid[act_arrays["winner"][crit], act_arrays["loser"][crit]] = True
+                avoid = avoid_perm.copy()
+                avoid[act_arrays["winner"][crit], act_arrays["loser"][crit]] = 1.0
                 both = crit & act_arrays["yielding"]
-                avoid[act_arrays["loser"][both], act_arrays["winner"][both]] = True
+                avoid[act_arrays["loser"][both], act_arrays["winner"][both]] = 1.0
 
-        gx = goal_x - xs
-        gy = goal_y - ys
-        gd = np.hypot(gx, gy)
-        gd_safe = np.maximum(gd, eps)
-        des_x = cfg.goal_weight * gx / gd_safe
-        des_y = cfg.goal_weight * gy / gd_safe
-        if avoid.any():
-            d_clamped = np.maximum(d, cfg.distance_floor)
-            mag = cfg.k_repulsion * np.clip(1.0 / d_clamped - 1.0 / cfg.r_max, 0.0, None)
+        desired = cfg.goal_weight * to_goal
+        desired /= np.maximum(goal_dist, eps)
+        if yields or avoid is not avoid_perm:
+            inv = np.maximum(d, cfg.distance_floor)
+            np.divide(1.0, inv, out=inv)
+            mag = inv - 1.0 / cfg.r_max
+            np.maximum(mag, 0.0, out=mag)
+            mag *= cfg.k_repulsion
             mag *= avoid
-            inv = 1.0 / d_clamped
-            ux = dx * inv
-            uy = dy * inv
-            beta = cfg.starboard_bias
-            des_x += (mag * (ux - beta * uy)).sum(axis=1)
-            des_y += (mag * (uy + beta * ux)).sum(axis=1)
+            unit = delta * inv
+            push = unit[::-1] * swirl
+            push += unit
+            push *= mag
+            desired += np.add.reduce(push, axis=2)
 
-        target = np.arctan2(des_y, des_x)
-        err = np.pi - np.mod(np.pi - (target - headings), 2.0 * np.pi)
-        yaw_cmd = np.clip(
-            cfg.heading_gain * err,
-            -cfg.physics.yaw_rate_max,
-            cfg.physics.yaw_rate_max,
-        )
-        throttle = np.where(arrived, 0.0, 1.0)
-        yaw_cmd = np.where(arrived, 0.0, yaw_cmd)
+        # heading error wrapped to (-pi, pi]; step_arrays clamps the command
+        yaw_cmd = np.arctan2(desired[1], desired[0])
+        yaw_cmd -= headings
+        np.subtract(np.pi, yaw_cmd, out=yaw_cmd)
+        np.mod(yaw_cmd, 2.0 * np.pi, out=yaw_cmd)
+        np.subtract(np.pi, yaw_cmd, out=yaw_cmd)
+        yaw_cmd *= cfg.heading_gain
+        if n_arrived:
+            yaw_cmd[arrived] = 0.0
 
         step_arrays(xs, ys, headings, speeds, yaw_rates, throttle, yaw_cmd,
                     cfg.physics, dt)
-        speeds[arrived] = 0.0
-        yaw_rates[arrived] = 0.0
+        if n_arrived:
+            speeds[arrived] = 0.0
+            yaw_rates[arrived] = 0.0
 
-        newly = (~arrived) & (np.hypot(goal_x - xs, goal_y - ys) <= cfg.goal_tolerance)
-        if newly.any():
+        np.subtract(goal, pos, out=to_goal)
+        np.hypot(to_goal[0], to_goal[1], out=goal_dist)
+        newly = np.greater(goal_dist <= cfg.goal_tolerance, arrived)
+        if np.count_nonzero(newly):
             arrived |= newly
+            n_arrived = np.count_nonzero(arrived)
+            np.logical_or(arrived[:, None], arrived, out=moored)
             arrival_tick[newly] = tick + 1
             speeds[newly] = 0.0
             yaw_rates[newly] = 0.0
-        prev_d = d
+            throttle[newly] = 0.0
+        np.multiply(speeds, yaw_rates, out=lat)
 
-        if tick % _FINITE_CHECK_EVERY == 0 and not (
-            np.isfinite(xs).all() and np.isfinite(ys).all()
-        ):
+        if tick % _FINITE_CHECK_EVERY == 0 and not np.isfinite(pos).all():
             raise SimulationFault(
                 f"non-finite state at t={t:.2f}s (seed {world.seed}, mode {mode})"
             )
 
     T = ticks_done
-    if not (np.isfinite(rec["x"][:T]).all() and np.isfinite(rec["y"][:T]).all()):
+    # (6, n, T): one contiguous series per recorded quantity and agent
+    x_s, y_s, heading_s, speed_s, yaw_s, lat_s = rec[:T].transpose(1, 2, 0).copy()
+    if not (np.isfinite(x_s).all() and np.isfinite(y_s).all()):
         raise SimulationFault(f"non-finite trajectory (seed {world.seed}, mode {mode})")
-
+    jerk_s = np.zeros_like(lat_s)
+    jerk_s[:, 1:] = np.diff(lat_s, axis=1) / dt
     ts = np.arange(T) * dt
-    trajectories = []
-    telemetry = []
-    for i in range(n):
-        lat = rec["lat"][:T, i].copy()
-        jerk = np.empty_like(lat)
-        if T > 1:
-            jerk[1:] = np.diff(lat) / dt
-            jerk[0] = 0.0
-        else:
-            jerk[:] = 0.0
-        trajectories.append(
-            Trajectory(
-                ts=ts.copy(),
-                xs=rec["x"][:T, i].copy(),
-                ys=rec["y"][:T, i].copy(),
-                headings=rec["heading"][:T, i].copy(),
-                speeds=rec["speed"][:T, i].copy(),
-            )
+    ts.setflags(write=False)  # shared by every agent's series
+    trajectories = tuple(
+        Trajectory(ts=ts, xs=x_s[i], ys=y_s[i], headings=heading_s[i],
+                   speeds=speed_s[i])
+        for i in range(n)
+    )
+    telemetry = tuple(
+        Telemetry(
+            ts=ts,
+            lat_acc=lat_s[i],
+            yaw_rate=yaw_s[i],
+            lat_jerk=jerk_s[i],
+            arrival_index=int(arrival_tick[i]) if arrival_tick[i] >= 0 else T,
         )
-        telemetry.append(
-            Telemetry(
-                ts=ts.copy(),
-                lat_acc=lat,
-                yaw_rate=rec["yaw"][:T, i].copy(),
-                lat_jerk=jerk,
-                arrival_index=int(arrival_tick[i]) if arrival_tick[i] >= 0 else T,
-            )
-        )
+        for i in range(n)
+    )
     ordered = tuple(encounters[key] for key in sorted(encounters))
     return BoatTrialResult(
         mode=mode,
         strategy=None if mode == OBJECTIVE else strategy,
         g=None if mode == OBJECTIVE else g,
-        trajectories=tuple(trajectories),
-        telemetry=tuple(telemetry),
+        trajectories=trajectories,
+        telemetry=telemetry,
         encounters=ordered,
     )

@@ -256,6 +256,67 @@ _EXECUTORS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(_is_int(v) for v in value)
+
+
+_INT = "an integer"
+_INTS = "a list of integers"
+_PAIR = "a pair of integers"
+_STR = "a string"
+_BOOL = "true or false"
+_OBJ = "a JSON object or null"
+_KINDS = {
+    _INT: _is_int,
+    _INTS: _is_int_list,
+    _PAIR: lambda v: _is_int_list(v) and len(v) == 2,
+    _STR: lambda v: isinstance(v, str),
+    _BOOL: lambda v: isinstance(v, bool),
+    _OBJ: lambda v: v is None or isinstance(v, dict),
+}
+# per command: the config keys its executor reads and their kinds; a key
+# ending in "?" may be absent
+_CONFIG_KEYS = {
+    "sweep": {
+        "agents": _INT, "args": _INT, "attacks": _INT, "cost_range": _PAIR,
+        "budget_grid": _INTS, "trials": _INT, "seed": _INT,
+        "jobs?": _INT, "log_transcripts?": _BOOL,
+    },
+    "ecdf": {
+        "agents": _INT, "args": _INT, "attacks": _INT, "cost_range": _PAIR,
+        "trials": _INT, "seed": _INT, "jobs?": _INT,
+    },
+    "boats": {
+        "strategy": _STR, "budget": _INT, "trials": _INT, "seed": _INT,
+        "mode": _STR, "world?": _OBJ, "jobs?": _INT,
+        "log_trajectories?": _BOOL, "literal_gap?": _BOOL,
+    },
+    "culture-random": {
+        "args": _INT, "attacks": _INT, "cost_range": _PAIR, "seed": _INT,
+        "filename?": _STR,
+    },
+    "culture-export-boat": {"filename?": _STR},
+}
+
+
+def _check_config(command: str, config: dict):
+    """Reject a replayed config with a missing key or a wrongly typed value."""
+    for key, kind in _CONFIG_KEYS[command].items():
+        name = key.rstrip("?")
+        if name not in config:
+            if key.endswith("?"):
+                continue
+            raise InputError(f"{command} config is missing {name!r}")
+        if not _KINDS[kind](config[name]):
+            raise InputError(
+                f"{command} config {name!r} must be {kind}, got {config[name]!r}"
+            )
+
+
 def _run_command(command: str, config: dict, out_dir) -> int:
     out_dir = Path(out_dir)
     created = not out_dir.exists()
@@ -443,6 +504,7 @@ def _cmd_rerun(args) -> int:
     config = doc.get("config")
     if not isinstance(config, dict):
         raise InputError(f"{manifest_path}: manifest has no \"config\" object")
+    _check_config(command, config)
     out_dir = Path(args.out) if args.out else manifest_path.parent
     return _run_command(command, config, out_dir)
 

@@ -1,5 +1,7 @@
 """Boat dynamics, parade setup, encounters and the trial harness."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -39,6 +41,7 @@ from fairdial.boatsim.world import (
     run_boat_trial,
 )
 from fairdial.culture import FeatureDescription, sample_boat_agent
+from fairdial.dialogue import STRATEGIES
 from fairdial.errors import InputError
 
 TINY_WORLD = WorldConfig(arena_length=3000.0, n_agents=2, max_time=300.0)
@@ -124,6 +127,40 @@ def test_step_arrays_matches_scalar_stepper():
         assert headings[i] == pytest.approx(e.heading, rel=1e-12)
         assert speeds[i] == pytest.approx(e.speed, rel=1e-12)
         assert yaw_rates[i] == pytest.approx(e.yaw_rate, rel=1e-12)
+
+
+def _step_arrays_with_clip(xs, ys, headings, speeds, yaw_rates, throttle,
+                           yaw_cmd, params, dt):
+    """Reference for step_arrays: the same update written with np.clip."""
+    accel = (throttle * params.thrust_max - params.drag * speeds**2) / params.mass
+    np.clip(speeds + accel * dt, 0.0, params.top_speed, out=speeds)
+    cmd = np.clip(yaw_cmd, -params.yaw_rate_max, params.yaw_rate_max)
+    yaw_rates += (cmd - yaw_rates) * (dt / params.yaw_tau)
+    np.clip(yaw_rates, -params.yaw_rate_max, params.yaw_rate_max, out=yaw_rates)
+    headings += yaw_rates * dt
+    headings[:] = np.pi - np.mod(np.pi - headings, 2.0 * np.pi)
+    xs += speeds * np.cos(headings) * dt
+    ys += speeds * np.sin(headings) * dt
+
+
+def test_step_arrays_matches_clip_reference_bit_for_bit():
+    rng = np.random.default_rng(1)
+    params = PhysicsParams()
+    n = 64
+    # signed zeros, values at the clamps and far beyond them
+    speeds = rng.choice([0.0, -0.0, 30.0, 29.999, 1e-300], n)
+    yaw_rates = rng.choice([0.0, -0.0, 0.4, -0.4, 0.39, -5.0], n)
+    yaw_cmd = rng.choice([0.0, -0.0, 0.4, -0.4, 7.0, -7.0, 0.1], n)
+    # a throttle of -0.0 on a speed of -0.0 ties the 0.0 clamp with -0.0
+    throttle = rng.choice([0.0, -0.0, 1.0, 0.5], n)
+    state = [rng.uniform(-1e4, 1e4, n), rng.uniform(-1e4, 1e4, n),
+             rng.uniform(-4.0, 4.0, n), speeds, yaw_rates]
+    want = [a.copy() for a in state]
+    for _ in range(30):
+        step_arrays(*state, throttle, yaw_cmd, params, 0.05)
+        _step_arrays_with_clip(*want, throttle, yaw_cmd, params, 0.05)
+        for got, ref in zip(state, want):
+            assert got.tobytes() == ref.tobytes()
 
 
 # ------------------------------------------------------------------ radius
@@ -286,6 +323,41 @@ def test_trials_are_deterministic():
         assert len(r1.encounters) == len(r2.encounters)
 
 
+# sha256 over every variant of a 6-boat world (seed 3): the objective run,
+# then nominal and subjective under each strategy at g=30.  It covers every
+# trajectory and telemetry series, arrival index and encounter, so a
+# rework of the tick loop must reproduce them bit for bit.
+GOLDEN_WORLD = WorldConfig(arena_length=6000.0, n_agents=6, max_time=600.0)
+GOLDEN_DIGEST = "439285942ea969c95624254667c4b22cf9f570ef4cebd556138ea0809b09725e"
+
+
+def _variant_digest(results):
+    h = hashlib.sha256()
+    for res in results:
+        for tr, te in zip(res.trajectories, res.telemetry):
+            for a in (tr.ts, tr.xs, tr.ys, tr.headings, tr.speeds,
+                      te.ts, te.lat_acc, te.yaw_rate, te.lat_jerk):
+                h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+            h.update(str(te.arrival_index).encode())
+        for e in res.encounters:
+            h.update(repr(dataclasses.astuple(e)).encode())
+    return h.hexdigest()
+
+
+def test_boat_variants_bit_identical():
+    world = init_parade(3, GOLDEN_WORLD)
+    variants = [("objective", None, None)] + [
+        (mode, strategy, 30)
+        for mode in ("nominal", "subjective") for strategy in STRATEGIES
+    ]
+    results = [run_boat_trial(world, s, g, mode) for mode, s, g in variants]
+    # the world exercises forced rulings, refusals and the collision reflex
+    terminations = {e.termination for r in results for e in r.encounters}
+    assert {"objective", "budget_forced", "convinced"} <= terminations
+    assert any(not e.yielding for r in results for e in r.encounters)
+    assert _variant_digest(results) == GOLDEN_DIGEST
+
+
 def test_run_boat_trial_validation():
     world = init_parade(7, TINY_WORLD)
     with pytest.raises(InputError):
@@ -386,6 +458,23 @@ def test_global_trajectory_losses():
     assert losses.mean_omega == 0.0 and losses.mean_omega_p == 7.0
     with pytest.raises(InputError):
         global_trajectory_losses(nominal, subjective, _result_from([base, base]))
+
+
+def test_literal_gap_reuses_the_nominal_subjective_comparison():
+    world = init_parade(7, TINY_WORLD)
+    objective = run_boat_trial(world, None, None, "objective")
+    for strategy in ("min_cost", "offensive"):
+        nominal = run_boat_trial(world, strategy, 30, "nominal")
+        subjective = run_boat_trial(world, strategy, 30, "subjective")
+        default = global_trajectory_losses(nominal, subjective, objective)
+        literal = global_trajectory_losses(nominal, subjective, objective,
+                                           literal_gap=True)
+        assert literal.omega == default.omega
+        assert literal.omega_p == default.omega_p
+        assert literal.gap == literal.omega_p
+        forced = any(e.termination == "budget_forced" for e in nominal.encounters)
+        # refusing to yield only happens after a budget-forced ruling
+        assert (max(default.omega_p) > 0.0) == forced
 
 
 # ----------------------------------------------------------------- harness

@@ -240,16 +240,40 @@ def test_rerun_rejects_foreign_manifest(capsys, tmp_path):
     assert code == 1 and "make-coffee" in err
 
 
-@pytest.mark.parametrize("text", [
-    "{", "[1]", json.dumps({"command": "sweep"}),
-    json.dumps({"command": "sweep", "config": 5}),
-], ids=["invalid-json", "not-an-object", "no-config", "config-not-an-object"])
-def test_rerun_rejects_bad_manifest(capsys, tmp_path, text):
+SWEEP_CONFIG = {
+    "agents": 4, "args": 5, "attacks": 7, "cost_range": [1, 20],
+    "budget_grid": [0, 10], "trials": 1, "seed": 1,
+}
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("{", "invalid JSON"),
+    ("[1]", "JSON object"),
+    (json.dumps({"command": "sweep"}), "config"),
+    (json.dumps({"command": "sweep", "config": 5}), "config"),
+    (json.dumps({"command": "sweep", "config": {}}), "missing 'agents'"),
+    (json.dumps({"command": "sweep", "config": {**SWEEP_CONFIG, "trials": "2"}}),
+     "'trials' must be an integer"),
+    (json.dumps({"command": "sweep", "config": {**SWEEP_CONFIG, "trials": True}}),
+     "'trials' must be an integer"),
+    (json.dumps({"command": "sweep",
+                 "config": {**SWEEP_CONFIG, "cost_range": [1, 2, 3]}}),
+     "'cost_range' must be a pair of integers"),
+    (json.dumps({"command": "boats", "config": {
+        "strategy": "all", "budget": 30, "trials": 1, "seed": 1, "mode": "all",
+        "world": [1]}}), "'world' must be a JSON object"),
+    (json.dumps({"command": "ecdf", "config": {**SWEEP_CONFIG, "jobs": 1.5}}),
+     "'jobs' must be an integer"),
+], ids=["invalid-json", "not-an-object", "no-config", "config-not-an-object",
+        "missing-key", "string-count", "bool-count", "long-pair",
+        "world-not-an-object", "float-jobs"])
+def test_rerun_rejects_bad_manifest(capsys, tmp_path, text, reason):
     bad = tmp_path / "manifest.json"
     bad.write_text(text, encoding="utf-8")
     out = tmp_path / "never"
     code, _, err = run_cli(capsys, "rerun", str(bad), "--out", str(out))
     assert code == 1 and err.startswith("fairdial:")
+    assert reason in err
     assert not out.exists()
 
 

@@ -347,6 +347,55 @@ def test_dispute_always_terminates_classified(seed, g, strategy):
     assert len({m.x_arg for m in res.transcript}) == len(res.transcript)
 
 
+@st.composite
+def disputes(draw, budget=st.one_of(st.none(), st.integers(min_value=0, max_value=80))):
+    """A random culture, a pair of descriptions, a strategy and a budget."""
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    n = draw(st.integers(min_value=2, max_value=9))
+    n_attacks = draw(st.integers(min_value=n - 1, max_value=n * (n - 1) // 2))
+    xc = expand(generate_random_culture(n, n_attacks, (1, 20), seed))
+    values = st.integers(min_value=0, max_value=9)
+    pr, op = (FeatureDescription(tuple(draw(values) for _ in range(n - 1)))
+              for _ in range(2))
+    strategy = draw(st.sampled_from(STRATEGIES))
+    g = draw(budget)
+    res = run_dispute(pr, op, xc, strategy, g, rng=random.Random(seed))
+    return xc, pr, op, g, res
+
+
+@settings(max_examples=60, deadline=None)
+@given(disputes())
+def test_property_each_move_attacks_the_last_and_is_legal(case):
+    xc, pr, op, g, res = case
+    attacks = set(xc.x_attacks)
+    state = DialogueState(xc, pr, op, g)
+    for i, move in enumerate(res.transcript):
+        if i:
+            assert (move.x_arg, res.transcript[i - 1].x_arg) in attacks
+            assert move.x_arg in legal_rebuttals(state)
+        state.push(move.x_arg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(disputes(budget=st.integers(min_value=0, max_value=80)))
+def test_property_no_player_outspends_the_budget(case):
+    _, _, _, g, res = case
+    assert res.spent["pr"] <= g and res.spent["op"] <= g
+    for role in ("pr", "op"):
+        charged = sum(m.cost_charged for m in res.transcript if m.player == role)
+        assert charged == res.spent[role]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_property_a_budget_covering_every_cost_never_forces(data):
+    xc, pr, op, _, _ = data.draw(disputes(budget=st.none()))
+    g = xc.total_cost + data.draw(st.integers(min_value=0, max_value=5))
+    for strategy in STRATEGIES:
+        res = run_dispute(pr, op, xc, strategy, g, rng=random.Random(g))
+        assert res.termination == CONVINCED
+
+
 def test_budget_forcing_mostly_relaxes_with_budget():
     """Forced losses should broadly fade as g grows.
 
