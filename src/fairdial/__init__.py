@@ -14,23 +14,16 @@ from .culture import (
     ExpandedCulture,
     FeatureDescription,
     Move,
-    RevealedLedger,
-    Verdict,
     builtin_boat_culture,
     expand,
     generate_random_culture,
     load_culture,
     sample_boat_agent,
     save_culture,
-    verify_fact,
 )
 from .dialogue import (
     DialogueResult,
-    DialogueState,
     STRATEGIES,
-    affordable,
-    choose,
-    legal_rebuttals,
     run_dispute,
 )
 from .errors import (
@@ -71,12 +64,10 @@ __all__ = [
     "sceptically_accepted", "parse_framework", "emit_framework",
     # cultures
     "Culture", "CultureArgument", "ExpandedCulture", "FeatureDescription",
-    "RevealedLedger", "Verdict", "expand", "verify_fact",
-    "generate_random_culture", "builtin_boat_culture", "sample_boat_agent",
-    "save_culture", "load_culture",
+    "expand", "generate_random_culture", "builtin_boat_culture",
+    "sample_boat_agent", "save_culture", "load_culture",
     # dialogues
-    "Move", "DialogueResult", "DialogueState", "STRATEGIES",
-    "legal_rebuttals", "affordable", "choose", "run_dispute",
+    "Move", "DialogueResult", "STRATEGIES", "run_dispute",
     # fairness
     "OutcomeMatrix", "PrecedenceGraph", "Theorem1Report",
     "objective_outcome", "ground_truth_matrix", "result_matrix",

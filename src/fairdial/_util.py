@@ -16,10 +16,27 @@ def derive_seed(*parts) -> int:
     keyed by (root seed, purpose, indices...).  Streams keyed differently are
     independent, so adding trials or strategies never perturbs existing ones.
     """
+    return int.from_bytes(seed_prefix(*parts).digest(), "big")
+
+
+def seed_prefix(*parts):
+    """The hash state ``derive_seed`` reaches after absorbing ``parts``.
+
+    ``extend_seed(seed_prefix(*parts), last)`` equals
+    ``derive_seed(*parts, last)``, so a caller deriving many seeds that share
+    their leading parts hashes those parts once.
+    """
     h = hashlib.blake2b(digest_size=8)
     for part in parts:
         h.update(repr(part).encode())
         h.update(b"\x1f")
+    return h
+
+
+def extend_seed(prefix, last) -> int:
+    """``derive_seed`` of the prefix's parts followed by ``last``."""
+    h = prefix.copy()
+    h.update(repr(last).encode() + b"\x1f")
     return int.from_bytes(h.digest(), "big")
 
 

@@ -2,9 +2,9 @@
 
 The classic dynamic programme: walking both curves forward only, the
 coupling cost at (i, j) is the larger of the point distance and the best
-predecessor.  Long inputs run through a batched sweep over antidiagonals of
-the DP table that never builds the table; short ones use the plain Python
-recurrence, which also serves as a cross-check in the tests.
+predecessor.  Every input runs through one batched sweep over antidiagonals
+of the DP table that never builds the table, so a pair of curves has one
+answer whatever its size.
 
 The sweep prunes with an upper bound, after Bringmann, Künnemann & Nusser,
 "Walking the Dog Fast in Practice" (SoCG 2019): any monotone coupling
@@ -16,14 +16,9 @@ the result is the same float, bit for bit, as the full table's.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import InputError
-
-# below this many table cells the plain recurrence wins on overhead
-_VECTOR_THRESHOLD = 4096
 
 
 def _as_points(curve):
@@ -33,26 +28,6 @@ def _as_points(curve):
     if not np.isfinite(arr).all():
         raise InputError("curve contains non-finite coordinates")
     return arr
-
-
-def _frechet_python(p, q) -> float:
-    n, m = len(p), len(q)
-    dist = [
-        [math.hypot(p[i][0] - q[j][0], p[i][1] - q[j][1]) for j in range(m)]
-        for i in range(n)
-    ]
-    row = [0.0] * m
-    row[0] = dist[0][0]
-    for j in range(1, m):
-        row[j] = max(row[j - 1], dist[0][j])
-    for i in range(1, n):
-        prev = row
-        row = [0.0] * m
-        row[0] = max(prev[0], dist[i][0])
-        for j in range(1, m):
-            best = min(prev[j], prev[j - 1], row[j - 1])
-            row[j] = best if best > dist[i][j] else dist[i][j]
-    return row[m - 1]
 
 
 def _coupling_bound(px, py, qx, qy):
@@ -140,10 +115,7 @@ def frechet_pairs(curves_a, curves_b) -> list:
     out = [0.0] * len(ps)
     groups = {}
     for idx, (p, q) in enumerate(zip(ps, qs)):
-        if len(p) * len(q) <= _VECTOR_THRESHOLD:
-            out[idx] = _frechet_python(p.tolist(), q.tolist())
-        else:
-            groups.setdefault((len(p), len(q)), []).append(idx)
+        groups.setdefault((len(p), len(q)), []).append(idx)
     for members in groups.values():
         values = _frechet_batch(np.stack([ps[i] for i in members]),
                                 np.stack([qs[i] for i in members]))

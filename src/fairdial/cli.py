@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import random
+import shutil
 import sys
 import time
 from dataclasses import replace
@@ -318,20 +319,37 @@ def _check_config(command: str, config: dict):
 
 
 def _run_command(command: str, config: dict, out_dir) -> int:
+    """Run ``command`` and publish its outputs plus manifest into ``out_dir``.
+
+    The executor writes into a fresh hidden directory: a sibling of a new
+    ``out_dir``, or inside an existing one.  The manifest is written last,
+    then a new ``out_dir`` is renamed into place, or the files are moved
+    into the existing one, manifest last.  A failed run leaves no trace:
+    neither the staging directory nor any parent directory it created.
+    """
     out_dir = Path(out_dir)
-    created = not out_dir.exists()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    exists = out_dir.exists()
+    created = [p for p in out_dir.parents if not p.exists()]  # deepest first
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    staging = (out_dir if exists else out_dir.parent) / (
+        f".fairdial-{os.getpid()}-{time.monotonic_ns()}")
+    staging.mkdir()
     started = time.monotonic()
     try:
-        outputs = _EXECUTORS[command](config, out_dir)
+        outputs = _EXECUTORS[command](config, staging)
+        _write_manifest(staging, command, config, outputs, started)
+        if exists:
+            for name in (*outputs, MANIFEST_NAME):
+                os.replace(staging / name, out_dir / name)
+            staging.rmdir()
+        else:
+            staging.rename(out_dir)
     except BaseException:
-        if created:
-            # a run that fails before writing anything leaves no directory;
-            # rmdir refuses a directory that is no longer empty
+        shutil.rmtree(staging, ignore_errors=True)
+        for path in created:  # rmdir refuses a non-empty one
             with contextlib.suppress(OSError):
-                os.rmdir(out_dir)
+                path.rmdir()
         raise
-    _write_manifest(out_dir, command, config, outputs, started)
     for name in outputs:
         print(f"wrote {out_dir / name}")
     print(f"wrote {out_dir / MANIFEST_NAME}")

@@ -23,7 +23,6 @@ between the players.
 
 from __future__ import annotations
 
-import enum
 import json
 import random
 from dataclasses import dataclass
@@ -38,14 +37,6 @@ ROLES = (PR, OP)
 
 HYPOTHESIS = "H"
 FACT = "F"
-
-
-class Verdict(enum.Enum):
-    """Outcome of verifying an uttered node against the record."""
-
-    TRUE = "true"
-    FALSE = "false"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -267,9 +258,6 @@ class ExpandedCulture:
         self.costs = tuple(a.cost for a in self.x_args)
         self.total_cost = sum(self.costs)
         self.owner_index = tuple(ROLES.index(a.owner) for a in self.x_args)
-        self.feature_pos_of = tuple(
-            -1 if a.feature_pos is None else a.feature_pos for a in self.x_args
-        )
         hyp_masks = [0, 0]
         owner_masks = [0, 0]
         fact_bits = [{}, {}]
@@ -283,6 +271,21 @@ class ExpandedCulture:
         self.hyp_masks = tuple(hyp_masks)
         self.owner_masks = tuple(owner_masks)
         self.fact_bits = tuple(fact_bits)
+        # uttering node x puts its owner's value of x's feature on record,
+        # which is what can make the adversary's fact there verifiable
+        self.adv_fact = tuple(
+            fact_bits[1 - w].get(a.feature_pos, 0)
+            for w, a in zip(self.owner_index, self.x_args)
+        )
+        # aff[r]: the nodes whose cost is at most r, for r = 0..max cost;
+        # equal rows share one int, so the table costs a pointer per cost unit
+        aff = []
+        mask = 0
+        for c in sorted(set(self.costs)):
+            aff += [mask] * (c - len(aff))
+            mask |= sum(1 << x for x, cx in enumerate(self.costs) if cx == c)
+        aff.append(mask)
+        self.aff = tuple(aff)
         # strategy keys: packed (score, id) so a single min() resolves ties
         # in favour of the lowest node id
         shift = max(1, n).bit_length()
@@ -336,6 +339,11 @@ class ExpandedCulture:
         """The whole expansion as a Framework; node ids are expanded ids."""
         return Framework(n_args=self.n_x, attacks=self.x_attacks)
 
+    @cached_property
+    def motion_node(self) -> int:
+        """The proponent's hypothesis on the motion, every dialogue's opening."""
+        return self.hypothesis(self.single_motion_id, PR)
+
     @property
     def single_motion_id(self) -> int:
         motions = self.base.motion_ids
@@ -350,51 +358,6 @@ class ExpandedCulture:
 def expand(culture: Culture) -> ExpandedCulture:
     """Expand ``culture`` for a pr/op dispute.  Deterministic and total."""
     return ExpandedCulture(culture)
-
-
-class RevealedLedger:
-    """Feature values each player has put on record during a dialogue.
-
-    Values come straight from the discloser's true description; recording a
-    conflicting value for an already revealed feature is an error.
-    """
-
-    def __init__(self):
-        self._values = {PR: {}, OP: {}}
-
-    def reveal(self, role: str, pos: int, value: int):
-        known = self._values[role].get(pos)
-        if known is not None and known != value:
-            raise InputError(
-                f"{role} already revealed feature {pos} as {known}, got {value}"
-            )
-        self._values[role][pos] = value
-
-    def value(self, role: str, pos: int):
-        """The recorded value, or None while undisclosed."""
-        return self._values[role].get(pos)
-
-    def revealed_positions(self, role: str) -> frozenset:
-        return frozenset(self._values[role])
-
-
-def verify_fact(x_arg: ExpandedArgument, utterer_desc: FeatureDescription,
-                ledger: RevealedLedger) -> Verdict:
-    """Verify an uttered node against the utterer's values and the record.
-
-    Hypotheses and motions always pass.  A fact on feature i holds when the
-    utterer's value strictly exceeds the adversary's recorded value; it is
-    UNKNOWN while the adversary has not revealed feature i.  Ties fail in
-    both directions.
-    """
-    if x_arg.kind != FACT:
-        return Verdict.TRUE
-    adversary = OP if x_arg.owner == PR else PR
-    theirs = ledger.value(adversary, x_arg.feature_pos)
-    if theirs is None:
-        return Verdict.UNKNOWN
-    mine = utterer_desc.value(x_arg.feature_pos)
-    return Verdict.TRUE if mine > theirs else Verdict.FALSE
 
 
 def generate_random_culture(n_args: int, n_attacks: int, cost_range,

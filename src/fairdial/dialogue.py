@@ -16,11 +16,11 @@ was priced out by the remaining budget.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 
-from ._util import iter_bits
-from .culture import OP, PR, ROLES, ExpandedCulture, RevealedLedger
+from .culture import OP, PR, ROLES, ExpandedCulture
 from .errors import InputError
 
 RANDOM = "random"
@@ -45,171 +45,102 @@ class DialogueResult:
         return 1 if self.termination == BUDGET_FORCED else 0
 
 
-class DialogueState:
-    """Mutable dialogue position, updated one move at a time."""
-
-    __slots__ = (
-        "xc", "descriptions", "g", "transcript", "to_move", "spent",
-        "used", "attacked", "usable", "ledger", "_true_facts",
-    )
-
-    def __init__(self, xc: ExpandedCulture, pr_desc, op_desc, g, *,
-                 true_facts=None):
-        if g is not None and g < 0:
-            raise InputError("budget must be non-negative")
-        n_features = len(xc.base.non_motion_ids)
-        if len(pr_desc) != n_features or len(op_desc) != n_features:
-            raise InputError(
-                f"descriptions must carry {n_features} feature values"
-            )
-        self.xc = xc
-        self.descriptions = (pr_desc, op_desc)
-        self.g = g
-        self.transcript = []
-        self.to_move = 0  # index into ROLES
-        self.spent = [0, 0]
-        self.used = 0
-        self.attacked = 0
-        self.ledger = RevealedLedger()
-        # a true fact becomes usable only once the adversary's value is on
-        # record; ``true_facts`` lets a caller playing one pair many times
-        # pass xc.true_fact_masks(pr_desc, op_desc) in, computed once
-        if true_facts is None:
-            true_facts = xc.true_fact_masks(pr_desc, op_desc)
-        self._true_facts = true_facts
-        self.usable = [xc.hyp_masks[0], xc.hyp_masks[1]]
-
-    def remaining(self, role_index: int):
-        if self.g is None:
-            return None
-        return self.g - self.spent[role_index]
-
-    def _legal_mask(self) -> int:
-        last = self.transcript[-1]
-        return (
-            self.xc.attackers_mask[last]
-            & ~self.attacked
-            & ~self.used
-            & self.usable[self.to_move]
-        )
-
-    def push(self, x: int):
-        xc = self.xc
-        w = self.to_move
-        if self.transcript:
-            if not (1 << x) & self._legal_mask():
-                raise InputError(f"node {x} is not a legal rebuttal here")
-        elif xc.owner_index[x] != 0:
-            raise InputError("the opening move belongs to the proponent")
-        self.transcript.append(x)
-        self.used |= 1 << x
-        self.attacked |= xc.targets_mask[x]
-        self.spent[w] += xc.costs[x]
-        pos = xc.feature_pos_of[x]
-        if pos >= 0:
-            role = ROLES[w]
-            if self.ledger.value(role, pos) is None:
-                self.ledger.reveal(role, pos, self.descriptions[w].value(pos))
-                adv = 1 - w
-                fact_bit = xc.fact_bits[adv].get(pos, 0)
-                if fact_bit & self._true_facts[adv]:
-                    self.usable[adv] |= fact_bit
-        self.to_move = 1 - w
-
-
-def legal_rebuttals(state: DialogueState) -> set:
-    """Nodes the player to move may utter against the last move."""
-    if not state.transcript:
-        raise InputError("no move to rebut yet")
-    return set(iter_bits(state._legal_mask()))
-
-
-def affordable(moves, remaining_budget, xc: ExpandedCulture) -> set:
-    """The subset of ``moves`` whose cost fits the remaining budget."""
-    if remaining_budget is None:
-        return set(moves)
-    if remaining_budget < 0:
-        raise InputError("remaining budget must be non-negative")
-    return {m for m in moves if xc.costs[m] <= remaining_budget}
-
-
-def choose(strategy: str, candidates, xc: ExpandedCulture, rng=None):
-    """Pick one node from a non-empty candidate set.
-
-    random draws uniformly; min_cost minimises node cost; offensive
-    maximises out-degree in the expansion; defensive minimises in-degree.
-    Score ties always resolve to the lowest node id.
-    """
-    candidates = sorted(candidates)
-    if not candidates:
-        raise InputError("choose() needs at least one candidate")
-    if strategy == RANDOM:
-        if rng is None:
-            raise InputError("the random strategy needs an rng")
-        return rng.choice(candidates)
-    try:
-        keys = xc.strategy_keys[strategy]
-    except KeyError:
-        raise InputError(f"unknown strategy {strategy!r}") from None
-    return min(candidates, key=lambda x: keys[x])
-
-
 def run_dispute(pr_desc, op_desc, xc: ExpandedCulture, strategy: str, g,
                 rng=None, *, true_facts=None) -> DialogueResult:
     """Play one dispute to completion and classify its termination.
 
-    ``g`` is the per-player privacy budget; ``None`` means unrestricted.
-    Both players follow the same ``strategy``.  ``rng`` (a random.Random)
-    is consulted only by the random strategy.  ``true_facts``, when given,
-    must equal ``xc.true_fact_masks(pr_desc, op_desc)``.
+    ``g`` is the per-player privacy budget, an integer; ``None`` means
+    unrestricted.
+    Both players follow the same ``strategy``: random draws uniformly from
+    the affordable legal moves in ascending node order; min_cost, offensive
+    and defensive take the lowest ``xc.strategy_keys`` entry (cost, most
+    attacks made, fewest attacks received; ties to the lowest node id).
+    ``rng`` (a random.Random, default seed 0) is consulted only by the
+    random strategy.  ``true_facts``, when given, must equal
+    ``xc.true_fact_masks(pr_desc, op_desc)``.
+
+    A fact becomes usable once the adversary has uttered a node on its
+    feature, and only if it holds; unlocking is idempotent, so no record of
+    first disclosures is needed.  The mover's state sits in the ``*_me``
+    locals and is swapped with the other player's after every move.
     """
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}")
-    if strategy == RANDOM and rng is None:
-        rng = random.Random(0)
-    state = DialogueState(xc, pr_desc, op_desc, g, true_facts=true_facts)
-    motion = xc.hypothesis(xc.single_motion_id, PR)
+    if g is not None:
+        try:
+            g = operator.index(g)
+        except TypeError:
+            raise InputError(f"budget must be an integer or None, got {g!r}") from None
+        if g < 0:
+            raise InputError("budget must be non-negative")
+    n_features = len(xc.base.non_motion_ids)
+    if len(pr_desc) != n_features or len(op_desc) != n_features:
+        raise InputError(f"descriptions must carry {n_features} feature values")
+    motion = xc.motion_node
     costs = xc.costs
     if g is not None and costs[motion] > g:
         # the proponent cannot even table the motion
-        return _result(state, loser=0, termination=BUDGET_FORCED)
-    state.push(motion)
-    keys = None if strategy == RANDOM else xc.strategy_keys[strategy]
+        return DialogueResult(OP, (), {PR: 0, OP: 0}, BUDGET_FORCED)
+    if strategy == RANDOM:
+        if rng is None:
+            rng = random.Random(0)
+        choice = rng.choice
+    else:
+        keys = xc.strategy_keys[strategy]
+    if true_facts is None:
+        true_facts = xc.true_fact_masks(pr_desc, op_desc)
+    attackers, targets, adv_fact = xc.attackers_mask, xc.targets_mask, xc.adv_fact
+    aff = xc.aff
+    top = len(aff) - 1
+    # the motion is on the table; op moves next
+    spent_me, spent_them = 0, costs[motion]
+    usable_me = xc.hyp_masks[1] | (adv_fact[motion] & true_facts[1])
+    usable_them = xc.hyp_masks[0]
+    true_me, true_them = true_facts[1], true_facts[0]
+    dead = (1 << motion) | targets[motion]  # uttered or attacked
+    last = motion
+    transcript = [motion]
     while True:
-        w = state.to_move
-        legal = state._legal_mask()
+        legal = attackers[last] & usable_me & ~dead
         if not legal:
-            return _result(state, loser=w, termination=CONVINCED)
-        rem = None if g is None else g - state.spent[w]
+            termination = CONVINCED
+            break
+        if g is not None:
+            rem = g - spent_me
+            legal &= aff[rem if rem < top else top]
+            if not legal:
+                termination = BUDGET_FORCED
+                break
         if strategy == RANDOM:
-            pool = [x for x in iter_bits(legal) if rem is None or costs[x] <= rem]
-            if not pool:
-                return _result(state, loser=w, termination=BUDGET_FORCED)
-            pick = rng.choice(pool)
+            pool = []
+            while legal:
+                low = legal & -legal
+                pool.append(low.bit_length() - 1)
+                legal ^= low
+            x = choice(pool)
         else:
-            pick = -1
             best = None
-            m = legal
-            while m:
-                low = m & -m
-                x = low.bit_length() - 1
-                m ^= low
-                if rem is not None and costs[x] > rem:
-                    continue
-                k = keys[x]
-                if best is None or k < best:
-                    best = k
-                    pick = x
-            if pick < 0:
-                return _result(state, loser=w, termination=BUDGET_FORCED)
-        state.push(pick)
-
-
-def _result(state: DialogueState, loser: int, termination: str) -> DialogueResult:
-    moves = state.xc.moves
+            while legal:
+                low = legal & -legal
+                y = low.bit_length() - 1
+                if best is None or keys[y] < best:
+                    x, best = y, keys[y]
+                legal ^= low
+        transcript.append(x)
+        dead |= (1 << x) | targets[x]
+        usable_them |= adv_fact[x] & true_them
+        spent_me += costs[x]
+        last = x
+        spent_me, spent_them = spent_them, spent_me
+        usable_me, usable_them = usable_them, usable_me
+        true_me, true_them = true_them, true_me
+    # the player due to move loses; len(transcript) is odd when it is op
+    op_lost = len(transcript) & 1
+    spent_op, spent_pr = (spent_me, spent_them) if op_lost else (spent_them, spent_me)
+    moves = xc.moves
     return DialogueResult(
-        winner=ROLES[1 - loser],
-        transcript=tuple([moves[x] for x in state.transcript]),
-        spent={PR: state.spent[0], OP: state.spent[1]},
-        termination=termination,
+        ROLES[1 - op_lost],
+        tuple([moves[x] for x in transcript]),
+        {PR: spent_pr, OP: spent_op},
+        termination,
     )

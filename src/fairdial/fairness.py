@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import derive_seed
+from ._util import extend_seed, seed_prefix
 from .af import sceptically_accepted
 from .culture import OP, PR, ExpandedCulture
 from .dialogue import BUDGET_FORCED, RANDOM, DialogueResult, STRATEGIES, run_dispute
@@ -37,8 +37,7 @@ def objective_outcome(d_pr, d_op, xc: ExpandedCulture) -> str:
     """
     true_pr, true_op = xc.true_fact_masks(d_pr, d_op)
     alive = xc.hyp_masks[0] | xc.hyp_masks[1] | true_pr | true_op
-    motion = xc.hypothesis(xc.single_motion_id, PR)
-    return PR if sceptically_accepted(motion, xc.framework, alive) else OP
+    return PR if sceptically_accepted(xc.motion_node, xc.framework, alive) else OP
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,8 @@ def budget_records(agents, xc: ExpandedCulture, strategy: str, budgets,
     ``results[i]`` is the dispute at ``budgets[i]`` (``None`` is
     unrestricted), exactly as a fresh ``run_dispute`` would play it.  The
     random strategy draws from a seed stream per (seed, pair, strategy,
-    budget).  A deterministic strategy walks the budgets from the largest
+    budget); a budget below the motion's cost ends before any draw, so it
+    seeds nothing.  A deterministic strategy walks the budgets from the largest
     down and replays nothing while a budget covers the last dialogue's peak
     per-player spend: a lower budget only removes candidates, so every pick
     stays affordable and stays the lowest-key one, and a budget-forced end
@@ -84,6 +84,7 @@ def budget_records(agents, xc: ExpandedCulture, strategy: str, budgets,
     budgets = tuple(budgets)
     descending = sorted(range(len(budgets)),
                         key=lambda i: (budgets[i] is not None, -(budgets[i] or 0)))
+    motion_cost = xc.costs[xc.motion_node]
     n = len(agents)
     for j in range(n):
         for k in range(n):
@@ -93,9 +94,12 @@ def budget_records(agents, xc: ExpandedCulture, strategy: str, budgets,
             true_facts = xc.true_fact_masks(pr, op)
             results = [None] * len(budgets)
             if strategy == RANDOM:
+                prefix = seed_prefix(seed, "dlg", j, k, strategy)
                 for i, g in enumerate(budgets):
-                    g_key = -1 if g is None else g
-                    rng = random.Random(derive_seed(seed, "dlg", j, k, strategy, g_key))
+                    rng = None
+                    if g is None or g >= motion_cost:
+                        g_key = -1 if g is None else g
+                        rng = random.Random(extend_seed(prefix, g_key))
                     results[i] = run_dispute(pr, op, xc, strategy, g, rng=rng,
                                              true_facts=true_facts)
             else:

@@ -8,7 +8,9 @@ from collections import Counter
 
 import pytest
 
+from fairdial import cli
 from fairdial.cli import main
+from fairdial.errors import InputError
 from fairdial.randexp import trial_seeds
 
 
@@ -378,3 +380,55 @@ def test_installed_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def _write_one_then_fail(config, out_dir):
+    (out_dir / "sweep.csv").write_text("partial\n", encoding="utf-8")
+    raise InputError("disk full")
+
+
+def test_failed_run_leaves_no_partial_output(capsys, tmp_path, monkeypatch):
+    monkeypatch.setitem(cli._EXECUTORS, "sweep", _write_one_then_fail)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "sweep", "config": SWEEP_CONFIG}),
+                        encoding="utf-8")
+    out = tmp_path / "new" / "deeper" / "run"
+    code, _, err = run_cli(capsys, "rerun", str(manifest), "--out", str(out))
+    assert code == 1 and "disk full" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+    # into an existing directory: what was there stays as it was
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "sweep.csv").write_text("previous\n", encoding="utf-8")
+    code, _, _ = run_cli(capsys, "rerun", str(manifest), "--out", str(old))
+    assert code == 1
+    assert [p.name for p in old.iterdir()] == ["sweep.csv"]
+    assert (old / "sweep.csv").read_text(encoding="utf-8") == "previous\n"
+
+
+def test_failed_manifest_write_publishes_nothing(tmp_path, monkeypatch):
+    def fail(*args):
+        raise OSError("no space left")
+
+    monkeypatch.setattr(cli, "_write_manifest", fail)
+    out = tmp_path / "run"
+    with pytest.raises(OSError):
+        cli._run_command("culture-export-boat", {}, out)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_publishes_into_new_and_existing_directories(capsys, tmp_path):
+    out = tmp_path / "a" / "run"
+    assert cli._run_command("culture-export-boat", {}, out) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["boat_culture.json",
+                                                    "manifest.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]
+    assert [p.name for p in (tmp_path / "a").iterdir()] == ["run"]
+    # rerun into the manifest's own directory replaces files in place
+    (out / "boat_culture.json").write_text("stale\n", encoding="utf-8")
+    (out / "notes.txt").write_text("mine\n", encoding="utf-8")
+    code, _, _ = run_cli(capsys, "rerun", str(out / "manifest.json"))
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "boat_culture.json", "manifest.json", "notes.txt"]
+    assert json.loads((out / "boat_culture.json").read_text(encoding="utf-8"))

@@ -10,8 +10,6 @@ from fairdial.culture import (
     Culture,
     CultureArgument,
     FeatureDescription,
-    RevealedLedger,
-    Verdict,
     builtin_boat_culture,
     culture_from_dict,
     culture_to_dict,
@@ -20,12 +18,12 @@ from fairdial.culture import (
     load_culture,
     sample_boat_agent,
     save_culture,
-    verify_fact,
 )
 from fairdial._util import iter_bits
 from fairdial.af import Framework, preferred_extensions
 from fairdial.errors import InputError, ParseError
 from fairdial.fairness import objective_outcome
+from reference_models import RevealedLedger, Verdict, verify_fact
 
 
 def example_culture(x_costs=None):

@@ -13,18 +13,19 @@ from fairdial.culture import (
     expand,
     generate_random_culture,
 )
-from fairdial.dialogue import (
-    BUDGET_FORCED,
-    CONVINCED,
-    STRATEGIES,
+from fairdial.dialogue import BUDGET_FORCED, CONVINCED, STRATEGIES, run_dispute
+from fairdial.errors import InputError
+from fairdial import dialogue, fairness
+from fairdial._util import derive_seed
+from fairdial.fairness import budget_records
+from fairdial.randexp import TrialConfig, _population, trial_seeds
+from reference_models import (
     DialogueState,
     affordable,
     choose,
     legal_rebuttals,
-    run_dispute,
+    reference_dispute,
 )
-from fairdial.errors import InputError
-from fairdial.randexp import TrialConfig, _population
 
 
 def example_xc(x_costs=None):
@@ -426,3 +427,108 @@ def test_budget_forcing_mostly_relaxes_with_budget():
     series = [rates[g] / pairs for g in grid]
     assert all(b <= a + 0.05 for a, b in zip(series, series[1:])), series
     assert series[-1] < series[0]
+
+
+# ------------------------------------------------- kernel vs reference model
+
+def _outcome(res):
+    return res.winner, res.transcript, res.spent, res.termination
+
+
+class CountingRandom:
+    """Stands in for the ``random`` module and counts seeded generators."""
+
+    def __init__(self):
+        self.seeds = []
+
+    def Random(self, seed):
+        self.seeds.append(seed)
+        return random.Random(seed)
+
+
+def test_kernel_replays_reference_on_headline_trials(monkeypatch):
+    """Every dialogue of three headline trials, as the sweep plays them."""
+    counter = CountingRandom()
+    monkeypatch.setattr(fairness, "random", counter)
+    for tseed in trial_seeds(61, 3):
+        cfg = TrialConfig(seed=tseed)
+        xc, agents = _population(cfg)
+        motion_cost = xc.costs[xc.motion_node]
+        assert min(cfg.budgets[:-1]) < motion_cost  # some dialogues cannot draw
+        for strategy in STRATEGIES:
+            counter.seeds.clear()
+            drawn = []
+            for j, k, results in budget_records(agents, xc, strategy, cfg.budgets,
+                                                tseed):
+                for g, res in zip(cfg.budgets, results):
+                    g_key = -1 if g is None else g
+                    seed = derive_seed(tseed, "dlg", j, k, strategy, g_key)
+                    rng = random.Random(seed) if strategy == "random" else None
+                    want = reference_dispute(agents[j], agents[k], xc, strategy, g,
+                                             rng=rng)
+                    assert _outcome(res) == _outcome(want), (strategy, j, k, g)
+                    if strategy == "random" and (g is None or g >= motion_cost):
+                        drawn.append(seed)
+            # a seeded generator for every random dialogue that can draw, and
+            # for no other
+            assert counter.seeds == drawn
+
+
+def test_default_rng_only_for_dialogues_that_can_draw(monkeypatch):
+    xc = example_xc(CRAFTED)  # motion costs 1
+    pr, op = FeatureDescription((2, 2)), FeatureDescription((1, 2))
+    counter = CountingRandom()
+    monkeypatch.setattr(dialogue, "random", counter)
+    res = run_dispute(pr, op, xc, "random", g=0)
+    assert res.transcript == () and res.termination == BUDGET_FORCED
+    assert counter.seeds == []
+    res = run_dispute(pr, op, xc, "random", g=None)
+    assert counter.seeds == [0]
+    assert _outcome(res) == _outcome(
+        reference_dispute(pr, op, xc, "random", None, rng=random.Random(0)))
+
+
+def test_run_dispute_input_checks():
+    xc = example_xc()
+    pr, op = FeatureDescription((1, 2)), FeatureDescription((2, 1))
+    with pytest.raises(InputError, match="non-negative"):
+        run_dispute(pr, op, xc, "min_cost", -1)
+    with pytest.raises(InputError, match="integer"):
+        run_dispute(pr, op, xc, "random", 2.5)
+    with pytest.raises(InputError, match="2 feature values"):
+        run_dispute(FeatureDescription((1,)), op, xc, "random", None)
+    with pytest.raises(InputError, match="2 feature values"):
+        run_dispute(pr, FeatureDescription((1, 2, 3)), xc, "min_cost", 5)
+
+
+@st.composite
+def tied_cultures(draw):
+    """Small cultures whose costs are 0..3: zero costs and many ties."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    n_attacks = draw(st.integers(min_value=n - 1, max_value=n * (n - 1) // 2))
+    cul = generate_random_culture(n, n_attacks, (0, 0), seed)
+    x_costs = tuple(draw(st.lists(st.integers(min_value=0, max_value=3),
+                                  min_size=cul.expanded_size,
+                                  max_size=cul.expanded_size)))
+    cul = Culture(args=cul.args, attacks=cul.attacks, x_costs=x_costs)
+    values = st.integers(min_value=0, max_value=3)  # tied feature values too
+    pr, op = (FeatureDescription(tuple(draw(values) for _ in range(n - 1)))
+              for _ in range(2))
+    return expand(cul), pr, op
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=tied_cultures(),
+       g=st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+       strategy=st.sampled_from(STRATEGIES),
+       seed=st.one_of(st.none(), st.integers(min_value=0, max_value=10**6)))
+def test_property_kernel_matches_reference(case, g, strategy, seed):
+    xc, pr, op = case
+    rng = lambda: None if seed is None else random.Random(seed)
+    got = run_dispute(pr, op, xc, strategy, g, rng=rng())
+    want = reference_dispute(pr, op, xc, strategy, g, rng=rng())
+    assert _outcome(got) == _outcome(want)
+    masks = xc.true_fact_masks(pr, op)
+    again = run_dispute(pr, op, xc, strategy, g, rng=rng(), true_facts=masks)
+    assert _outcome(again) == _outcome(want)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairdial._util import derive_seed
+from fairdial._util import derive_seed, extend_seed, seed_prefix
 from fairdial.culture import (
     Culture,
     CultureArgument,
@@ -248,6 +248,17 @@ def test_budget_records_match_fresh_disputes_at_headline_scale():
     cfg = TrialConfig(seed=derive_seed(3, "trial", 0))
     xc, agents = _population(cfg)
     _assert_budget_records_match_fresh(agents, xc, cfg.budgets, cfg.seed)
+
+
+def test_seed_prefix_extends_to_derive_seed():
+    budget_keys = [-1 if g is None else g for g in TrialConfig().budgets]
+    assert -1 in budget_keys
+    for strategy in STRATEGIES:
+        for j, k in ((0, 1), (15, 3)):
+            prefix = seed_prefix(2024, "dlg", j, k, strategy)
+            for g_key in budget_keys * 2:  # extending leaves the prefix as it was
+                assert extend_seed(prefix, g_key) == derive_seed(
+                    2024, "dlg", j, k, strategy, g_key)
 
 
 def test_budget_records_match_fresh_disputes_on_small_cultures():

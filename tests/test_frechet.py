@@ -9,12 +9,12 @@ import pytest
 
 from fairdial.boatsim.frechet import (
     _frechet_batch,
-    _frechet_python,
     _as_points,
     discrete_frechet,
     frechet_pairs,
 )
 from fairdial.errors import InputError
+from reference_models import frechet_python
 
 
 def full_table_frechet(p, q) -> float:
@@ -22,7 +22,7 @@ def full_table_frechet(p, q) -> float:
 
     This is the vector kernel the pruned one replaced, kept as a reference:
     it uses the same ``np.hypot`` distances, so the two must agree bit for
-    bit.  ``_frechet_python`` uses ``math.hypot``, which may round the last
+    bit.  ``frechet_python`` uses ``math.hypot``, which may round the last
     bit differently, so comparisons with it allow a few ulps.
     """
     n, m = len(p), len(q)
@@ -58,7 +58,7 @@ def assert_matches_references(p, q, python=True):
     got = pruned(p, q)
     assert got == full_table_frechet(p, q)  # bit for bit
     if python:
-        assert got == pytest.approx(_frechet_python(p.tolist(), q.tolist()),
+        assert got == pytest.approx(frechet_python(p.tolist(), q.tolist()),
                                     rel=1e-15, abs=0.0)
 
 
@@ -146,10 +146,9 @@ def test_python_and_vector_paths_agree():
     for _ in range(40):
         a = _as_points(random_curve(rng, max_len=30))
         b = _as_points(random_curve(rng, max_len=30))
-        slow = _frechet_python(a.tolist(), b.tolist())
-        fast = pruned(a, b)
-        assert fast == pytest.approx(slow, abs=1e-9)
-    # and on curves long enough to take the vector path for real
+        slow = frechet_python(a.tolist(), b.tolist())
+        assert discrete_frechet(a, b) == pytest.approx(slow, rel=1e-15, abs=0.0)
+    # and on long curves
     long_a = [(t * 0.1, math.sin(t * 0.1)) for t in range(300)]
     long_b = [(t * 0.1, math.sin(t * 0.1) + 2.0) for t in range(300)]
     assert discrete_frechet(long_a, long_b) == pytest.approx(2.0, abs=1e-9)
@@ -233,18 +232,18 @@ def test_batch_members_with_very_different_bounds():
 def test_frechet_pairs_matches_discrete_frechet_per_pair():
     rng = np.random.default_rng(15)
     gen = random.Random(15)
-    # small tables take the Python recurrence, large ones share sweeps by shape
+    # pairs share sweeps by shape, small tables included
     firsts = [_track(rng, n) for n in (70, 70, 8, 70, 90)]
     seconds = [_track(rng, m) for m in (65, 65, 9, 80, 65)]
     firsts.append(random_curve(gen))
     seconds.append(random_curve(gen))
     got = frechet_pairs(firsts, seconds)
     assert got == [discrete_frechet(a, b) for a, b in zip(firsts, seconds)]
-    for k in (0, 1, 3, 4):
-        assert got[k] == full_table_frechet(firsts[k], seconds[k])
-    for k in (2, 5):
-        assert got[k] == _frechet_python(_as_points(firsts[k]).tolist(),
-                                         _as_points(seconds[k]).tolist())
+    for k in range(len(firsts)):
+        p, q = _as_points(firsts[k]), _as_points(seconds[k])
+        assert got[k] == full_table_frechet(p, q)
+        assert got[k] == pytest.approx(frechet_python(p.tolist(), q.tolist()),
+                                       rel=1e-15, abs=0.0)
     assert frechet_pairs([], []) == []
     with pytest.raises(InputError):
         frechet_pairs([firsts[0]], [])
