@@ -321,32 +321,32 @@ def _check_config(command: str, config: dict):
 def _run_command(command: str, config: dict, out_dir) -> int:
     """Run ``command`` and publish its outputs plus manifest into ``out_dir``.
 
-    The executor writes into a fresh hidden directory: a sibling of a new
-    ``out_dir``, or inside an existing one.  The manifest is written last,
-    then a new ``out_dir`` is renamed into place, or the files are moved
-    into the existing one, manifest last.  A failed run leaves no trace:
-    neither the staging directory nor any parent directory it created.
+    The executor writes into a fresh hidden directory inside ``out_dir``,
+    and the manifest is written there last.  Once every target name is
+    known to be absent or a regular file, the files are moved in one by
+    one, manifest last, so a run is complete when its manifest appears.  A
+    run that fails before the moves removes the staging directory and every
+    directory it created, ``out_dir`` included.
     """
     out_dir = Path(out_dir)
-    exists = out_dir.exists()
-    created = [p for p in out_dir.parents if not p.exists()]  # deepest first
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
-    staging = (out_dir if exists else out_dir.parent) / (
-        f".fairdial-{os.getpid()}-{time.monotonic_ns()}")
+    created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staging = out_dir / f".fairdial-{os.getpid()}-{time.monotonic_ns()}"
     staging.mkdir()
     started = time.monotonic()
     try:
         outputs = _EXECUTORS[command](config, staging)
         _write_manifest(staging, command, config, outputs, started)
-        if exists:
-            for name in (*outputs, MANIFEST_NAME):
-                os.replace(staging / name, out_dir / name)
-            staging.rmdir()
-        else:
-            staging.rename(out_dir)
+        names = (*outputs, MANIFEST_NAME)
+        for name in names:
+            if (out_dir / name).exists() and not (out_dir / name).is_file():
+                raise InputError(f"{out_dir / name} exists and is not a file")
+        for name in names:
+            os.replace(staging / name, out_dir / name)
+        staging.rmdir()
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
-        for path in created:  # rmdir refuses a non-empty one
+        for path in created:  # deepest first; rmdir refuses a non-empty one
             with contextlib.suppress(OSError):
                 path.rmdir()
         raise

@@ -277,14 +277,15 @@ class ExpandedCulture:
             fact_bits[1 - w].get(a.feature_pos, 0)
             for w, a in zip(self.owner_index, self.x_args)
         )
-        # aff[r]: the nodes whose cost is at most r, for r = 0..max cost;
-        # equal rows share one int, so the table costs a pointer per cost unit
-        aff = []
-        mask = 0
-        for c in sorted(set(self.costs)):
-            aff += [mask] * (c - len(aff))
-            mask |= sum(1 << x for x, cx in enumerate(self.costs) if cx == c)
-        aff.append(mask)
+        # cost_levels: the distinct node costs, ascending; aff[i]: the nodes
+        # costing less than cost_levels[i] (aff[-1]: every node), so the
+        # nodes affordable with r left are aff[bisect_right(cost_levels, r)]
+        # and the table grows with the number of distinct costs only
+        self.cost_levels = tuple(sorted(set(self.costs)))
+        aff = [0]
+        for c in self.cost_levels:
+            aff.append(aff[-1] | sum(
+                1 << x for x, cx in enumerate(self.costs) if cx == c))
         self.aff = tuple(aff)
         # strategy keys: packed (score, id) so a single min() resolves ties
         # in favour of the lowest node id

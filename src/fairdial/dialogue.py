@@ -17,6 +17,7 @@ was priced out by the remaining budget.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 import random
 from dataclasses import dataclass
 
@@ -90,8 +91,7 @@ def run_dispute(pr_desc, op_desc, xc: ExpandedCulture, strategy: str, g,
     if true_facts is None:
         true_facts = xc.true_fact_masks(pr_desc, op_desc)
     attackers, targets, adv_fact = xc.attackers_mask, xc.targets_mask, xc.adv_fact
-    aff = xc.aff
-    top = len(aff) - 1
+    aff, levels = xc.aff, xc.cost_levels
     # the motion is on the table; op moves next
     spent_me, spent_them = 0, costs[motion]
     usable_me = xc.hyp_masks[1] | (adv_fact[motion] & true_facts[1])
@@ -106,8 +106,7 @@ def run_dispute(pr_desc, op_desc, xc: ExpandedCulture, strategy: str, g,
             termination = CONVINCED
             break
         if g is not None:
-            rem = g - spent_me
-            legal &= aff[rem if rem < top else top]
+            legal &= aff[bisect_right(levels, g - spent_me)]
             if not legal:
                 termination = BUDGET_FORCED
                 break

@@ -5,7 +5,7 @@ ledger of disclosed feature values, a verifier that checks every fact
 against that ledger, and a dialogue state that applies one move at a time.
 It reads the expansion's attack masks, owners, costs and strategy keys, but
 none of the tables only the kernel uses (``adv_fact``, ``aff``,
-``true_fact_masks``).
+``cost_levels``, ``true_fact_masks``).
 
 ``frechet_python`` is the plain discrete Fréchet recurrence over
 ``math.hypot`` distances.

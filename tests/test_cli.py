@@ -432,3 +432,16 @@ def test_run_publishes_into_new_and_existing_directories(capsys, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == [
         "boat_culture.json", "manifest.json", "notes.txt"]
     assert json.loads((out / "boat_culture.json").read_text(encoding="utf-8"))
+
+
+def test_directory_in_the_way_publishes_nothing(tmp_path):
+    out = tmp_path / "run"
+    assert cli._run_command("culture-export-boat", {}, out) == 0
+    (out / "boat_culture.json").write_text("stale\n", encoding="utf-8")
+    (out / "manifest.json").unlink()
+    (out / "manifest.json").mkdir()
+    with pytest.raises(InputError, match="is not a file"):
+        cli._run_command("culture-export-boat", {}, out)
+    assert sorted(p.name for p in out.iterdir()) == ["boat_culture.json",
+                                                    "manifest.json"]
+    assert (out / "boat_culture.json").read_text(encoding="utf-8") == "stale\n"

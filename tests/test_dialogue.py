@@ -196,6 +196,30 @@ def test_budget_forcing_at_exact_boundaries():
     assert res.spent == {"pr": 1, "op": 2}
 
 
+def test_huge_costs_expand_and_play_like_small_ones():
+    # the affordability table grows with the number of distinct costs, not
+    # with the largest one, so costs of 10**12 expand and play at once
+    unit = 10**12
+    xc = example_xc(tuple(c * unit for c in CRAFTED))
+    assert len(xc.aff) == len(set(CRAFTED)) + 1
+    small = example_xc(CRAFTED)
+    pr, op = FeatureDescription((2, 2)), FeatureDescription((1, 2))
+    res = run_dispute(pr, op, xc, "min_cost", g=2 * unit)
+    assert [m.x_arg for m in res.transcript] == [0, 3]
+    assert res.spent == {"pr": unit, "op": 2 * unit}
+    res = run_dispute(pr, op, xc, "min_cost", g=2 * unit - 1)
+    assert [m.x_arg for m in res.transcript] == [0]
+    for strategy in STRATEGIES:
+        for g in (None, 0, unit - 1, unit, 3 * unit, 9 * unit, 10**15):
+            got = run_dispute(pr, op, xc, strategy, g, rng=random.Random(4))
+            assert got == reference_dispute(pr, op, xc, strategy, g,
+                                            rng=random.Random(4))
+            scaled = None if g is None else g // unit
+            want = run_dispute(pr, op, small, strategy, scaled, rng=random.Random(4))
+            assert ([m.x_arg for m in got.transcript], got.winner, got.termination) \
+                == ([m.x_arg for m in want.transcript], want.winner, want.termination)
+
+
 def test_zero_cost_motion_is_affordable_at_zero_budget():
     xc = example_xc()  # inherited costs: motion 0, features 1
     res = run_dispute(FeatureDescription((2, 2)), FeatureDescription((1, 2)),
