@@ -11,14 +11,17 @@ so expensive negotiations produce later, sharper evasions.
 Mode differences: in subjective mode a loser whose dialogue was cut off by
 the budget refuses to yield and sails straight on (the winner keeps only a
 short-range collision reflex); objective mode replaces dialogues with the
-referee.  All modes share one physical world per trial seed.
+referee.  All modes share one physical world per trial seed, and variants
+whose per-pair rulings agree share one simulation of it.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -239,8 +242,12 @@ def _orient_pair(agents, i, j):
 
 
 def resolve_encounter(world: World, i: int, j: int, strategy, g, mode: str,
-                      xc, t: float) -> Encounter:
-    """Settle right of way for a pair that just came into sensor range."""
+                      xc, t: float | None = None) -> Encounter:
+    """Settle right of way for a pair that comes into sensor range at ``t``.
+
+    The ruling does not depend on ``t``: the referee is deterministic and a
+    random dialogue is seeded by (world seed, pair, strategy, g).
+    """
     cfg = world.config
     pr_agent, op_agent = _orient_pair(world.agents, i, j)
     d_pr = world.agents[pr_agent].description
@@ -278,7 +285,13 @@ def resolve_encounter(world: World, i: int, j: int, strategy, g, mode: str,
 
 
 def run_boat_trial(world: World, strategy, g, mode: str) -> BoatTrialResult:
-    """Simulate one full crossing and return per-agent histories."""
+    """Simulate one full crossing and return per-agent histories.
+
+    Every pair is ruled before the first tick.  The tick loop reads a
+    ruling only through its course entry (winner, loser, activation
+    radius, yielding), so variants with the same course share one
+    simulation, and with it the read-only arrays of their results.
+    """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
     if mode != OBJECTIVE:
@@ -286,9 +299,44 @@ def run_boat_trial(world: World, strategy, g, mode: str) -> BoatTrialResult:
             raise InputError(f"unknown strategy {strategy!r}")
         if g is None or g < 0:
             raise InputError("dialogue modes need a non-negative budget")
+    xc = expand(builtin_boat_culture())
+    rulings = [
+        resolve_encounter(world, i, j, strategy, g, mode, xc)
+        for i, j in combinations(range(world.config.n_agents), 2)
+    ]
+    course = tuple((r.winner, r.loser, r.r_act, r.yielding) for r in rulings)
+    try:
+        trajectories, telemetry, times = _sail(world, course)
+    except SimulationFault as exc:
+        raise SimulationFault(f"{exc} (seed {world.seed}, mode {mode})") from None
+    return BoatTrialResult(
+        mode=mode,
+        strategy=None if mode == OBJECTIVE else strategy,
+        g=None if mode == OBJECTIVE else g,
+        trajectories=trajectories,
+        telemetry=telemetry,
+        encounters=tuple(
+            replace(rulings[k], t_trigger=t_trigger, t_field_on=t_field_on)
+            for k, t_trigger, t_field_on in times
+        ),
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _sail(world: World, course: tuple):
+    """Run the tick loop of one world under per-pair rulings.
+
+    ``course[k]`` is (winner, loser, r_act, yielding) for the k-th pair of
+    ``combinations(range(n), 2)``.  Returns the trajectories, the telemetry
+    and (k, t_trigger, t_field_on) for every pair that met, in pair order.
+    The one cached entry serves the next variant with an equal course; a
+    fault is raised, never cached.
+    """
     cfg = world.config
     n = cfg.n_agents
-    xc = expand(builtin_boat_culture())
+    pairs = list(combinations(range(n), 2))
+    pair_index = {pair: k for k, pair in enumerate(pairs)}
+    flat = [i * n + j for i, j in pairs]  # a pair's index into d_flat
     dt = cfg.tick
     max_ticks = int(round(cfg.max_time / dt)) + 1
 
@@ -324,7 +372,8 @@ def run_boat_trial(world: World, strategy, g, mode: str) -> BoatTrialResult:
     beta = cfg.starboard_bias
     swirl = np.array([-beta, beta])[:, None, None]
 
-    encounters = {}
+    t_trigger = {}  # pair index -> time the pair came into sensor range
+    t_field_on = {}  # pair index -> time its field switched on
     met = np.zeros((n, n), dtype=bool)
     # [agent, repulsor]: 1.0 where the agent yields to the repulsor
     avoid_perm = np.zeros((n, n))
@@ -364,32 +413,33 @@ def run_boat_trial(world: World, strategy, g, mode: str) -> BoatTrialResult:
                     continue
                 i, j = int(i), int(j)
                 met[i, j] = met[j, i] = True
-                enc = resolve_encounter(world, i, j, strategy, g, mode, xc, t)
-                encounters[i, j] = enc
-                pending.append(enc)
+                k = pair_index[i, j]
+                t_trigger[k] = t
+                pending.append(k)
                 pending_arrays = None
 
         if pending:
             if pending_arrays is None:
                 pending_arrays = (
-                    np.array([enc.first * n + enc.second for enc in pending]),
-                    np.array([enc.r_act for enc in pending]),
+                    np.array([flat[k] for k in pending]),
+                    np.array([course[k][2] for k in pending]),
                 )
             on = d_flat[pending_arrays[0]] <= pending_arrays[1]
             if np.count_nonzero(on):
-                for enc, engaged in zip(pending, on.tolist()):
+                for k, engaged in zip(pending, on.tolist()):
                     if not engaged:
                         continue
-                    enc.t_field_on = t
-                    if enc.yielding:
-                        avoid_perm[enc.loser, enc.winner] = 1.0
+                    t_field_on[k] = t
+                    winner, loser, _, yielding = course[k]
+                    if yielding:
+                        avoid_perm[loser, winner] = 1.0
                         yields = True
-                    act["pair"].append(enc.first * n + enc.second)
-                    act["winner"].append(enc.winner)
-                    act["loser"].append(enc.loser)
-                    act["yielding"].append(enc.yielding)
+                    act["pair"].append(flat[k])
+                    act["winner"].append(winner)
+                    act["loser"].append(loser)
+                    act["yielding"].append(yielding)
                 act_arrays = None
-                pending = [enc for enc in pending if enc.t_field_on is None]
+                pending = [k for k in pending if k not in t_field_on]
                 pending_arrays = None
 
         avoid = avoid_perm
@@ -450,17 +500,18 @@ def run_boat_trial(world: World, strategy, g, mode: str) -> BoatTrialResult:
         np.multiply(speeds, yaw_rates, out=lat)
 
         if tick % _FINITE_CHECK_EVERY == 0 and not np.isfinite(pos).all():
-            raise SimulationFault(
-                f"non-finite state at t={t:.2f}s (seed {world.seed}, mode {mode})"
-            )
+            raise SimulationFault(f"non-finite state at t={t:.2f}s")
 
     T = ticks_done
     # (6, n, T): one contiguous series per recorded quantity and agent
-    x_s, y_s, heading_s, speed_s, yaw_s, lat_s = rec[:T].transpose(1, 2, 0).copy()
+    series = rec[:T].transpose(1, 2, 0).copy()
+    series.setflags(write=False)  # shared by every variant with this course
+    x_s, y_s, heading_s, speed_s, yaw_s, lat_s = series
     if not (np.isfinite(x_s).all() and np.isfinite(y_s).all()):
-        raise SimulationFault(f"non-finite trajectory (seed {world.seed}, mode {mode})")
+        raise SimulationFault("non-finite trajectory")
     jerk_s = np.zeros_like(lat_s)
     jerk_s[:, 1:] = np.diff(lat_s, axis=1) / dt
+    jerk_s.setflags(write=False)
     ts = np.arange(T) * dt
     ts.setflags(write=False)  # shared by every agent's series
     trajectories = tuple(
@@ -478,12 +529,5 @@ def run_boat_trial(world: World, strategy, g, mode: str) -> BoatTrialResult:
         )
         for i in range(n)
     )
-    ordered = tuple(encounters[key] for key in sorted(encounters))
-    return BoatTrialResult(
-        mode=mode,
-        strategy=None if mode == OBJECTIVE else strategy,
-        g=None if mode == OBJECTIVE else g,
-        trajectories=trajectories,
-        telemetry=telemetry,
-        encounters=ordered,
-    )
+    times = tuple((k, t_trigger[k], t_field_on.get(k)) for k in sorted(t_trigger))
+    return trajectories, telemetry, times

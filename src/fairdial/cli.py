@@ -51,7 +51,7 @@ from .culture import (
 )
 from .dialogue import STRATEGIES, run_dispute
 from .errors import FairdialError, InputError, SimulationFault
-from .fairness import dispute_records
+from .fairness import budget_records
 from .randexp import (
     TrialConfig,
     _population,
@@ -128,8 +128,10 @@ def _write_transcripts(cfg: TrialConfig, n_trials: int, path: Path):
     """Replay every dialogue of a sweep and log its transcript.
 
     Dialogues are deterministic given the derived seeds, so this replay
-    writes exactly the dialogues the sweep scored.  Unrestricted dialogues
-    are labelled, as in sweep.csv, with the culture's total cost.
+    writes exactly the dialogues the sweep scored, with the sweep's reuse
+    across budgets: one ``budget_records`` pass per (trial, strategy), rows
+    grouped by budget.  Unrestricted dialogues are labelled, as in
+    sweep.csv, with the culture's total cost.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -140,11 +142,14 @@ def _write_transcripts(cfg: TrialConfig, n_trials: int, path: Path):
         for trial, tseed in enumerate(trial_seeds(cfg.seed, n_trials)):
             xc, agents = _population(replace(cfg, seed=tseed))
             for strategy in cfg.strategies:
-                for g in cfg.budgets:
+                records = list(
+                    budget_records(agents, xc, strategy, cfg.budgets, tseed)
+                )
+                for i, g in enumerate(cfg.budgets):
                     label = xc.total_cost if g is None else g
-                    for j, k, res in dispute_records(agents, xc, strategy, g, tseed):
+                    for j, k, results in records:
                         writer.writerow(
-                            _transcript_row(trial, j, k, strategy, label, res)
+                            _transcript_row(trial, j, k, strategy, label, results[i])
                         )
 
 

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from fairdial.boatsim import world as world_module
 from fairdial.boatsim.harness import (
     BoatExperimentConfig,
+    _run_one_trial,
     encounter_rows,
     run_boat_experiment,
     write_boat_encounters_csv,
@@ -36,13 +38,14 @@ from fairdial.boatsim.world import (
     World,
     WorldConfig,
     _orient_pair,
+    _sail,
     activation_radius,
     init_parade,
     run_boat_trial,
 )
 from fairdial.culture import FeatureDescription, sample_boat_agent
 from fairdial.dialogue import STRATEGIES
-from fairdial.errors import InputError
+from fairdial.errors import InputError, SimulationFault
 
 TINY_WORLD = WorldConfig(arena_length=3000.0, n_agents=2, max_time=300.0)
 
@@ -356,6 +359,95 @@ def test_boat_variants_bit_identical():
     assert {"objective", "budget_forced", "convinced"} <= terminations
     assert any(not e.yielding for r in results for e in r.encounters)
     assert _variant_digest(results) == GOLDEN_DIGEST
+
+
+# the harness's order: the referee world, then nominal and subjective per
+# strategy, so variants with equal courses run back to back
+HARNESS_ORDER = [("objective", None, None)] + [
+    (mode, strategy, 30)
+    for strategy in STRATEGIES for mode in ("nominal", "subjective")
+]
+
+
+@pytest.mark.parametrize("order", ["harness", "reversed", "uncached"])
+def test_shared_simulations_match_the_golden_digest(order):
+    world = init_parade(3, GOLDEN_WORLD)
+    variants = HARNESS_ORDER[::-1] if order == "reversed" else HARNESS_ORDER
+    _sail.cache_clear()
+    results = {}
+    for mode, strategy, g in variants:
+        if order == "uncached":
+            _sail.cache_clear()
+        results[mode, strategy] = run_boat_trial(world, strategy, g, mode)
+    digest_order = [("objective", None)] + [
+        (mode, strategy)
+        for mode in ("nominal", "subjective") for strategy in STRATEGIES
+    ]
+    assert _variant_digest([results[key] for key in digest_order]) == GOLDEN_DIGEST
+
+
+def test_consecutive_variants_match_fresh_runs():
+    # World 9's one pair: the referee and a zero budget differ only in the
+    # winner, offensive at g=30 and g=40 only in r_act, and min_cost's
+    # nominal and subjective worlds only in yielding.
+    world = init_parade(9, TINY_WORLD)
+    variants = [("objective", None, None), ("nominal", "min_cost", 0),
+                ("nominal", "offensive", 30), ("nominal", "offensive", 40),
+                ("nominal", "min_cost", 30), ("subjective", "min_cost", 30)]
+    _sail.cache_clear()
+    in_a_row = [run_boat_trial(world, s, g, mode) for mode, s, g in variants]
+    assert _sail.cache_info().misses == len(variants)
+    for res, (mode, s, g) in zip(in_a_row, variants):
+        _sail.cache_clear()
+        fresh = run_boat_trial(world, s, g, mode)
+        assert _variant_digest([res]) == _variant_digest([fresh])
+
+
+def test_default_trial_sails_six_courses():
+    # Rulings, and so courses, do not depend on the time cap: a short
+    # max_time keeps the default world's 120 pairs and their rulings.
+    cfg = BoatExperimentConfig(g=30, n_trials=1,
+                               world=WorldConfig(max_time=2.0))
+    _sail.cache_clear()
+    _run_one_trial((cfg, 0))
+    info = _sail.cache_info()
+    assert (info.misses, info.hits) == (6, 3)
+
+
+def test_shared_results_are_read_only():
+    world = init_parade(7, TINY_WORLD)
+    _sail.cache_clear()
+    nominal = run_boat_trial(world, "offensive", 30, "nominal")
+    subjective = run_boat_trial(world, "offensive", 30, "subjective")
+    assert _sail.cache_info().misses == 1
+    assert subjective.trajectories[0].xs is nominal.trajectories[0].xs
+    # each variant keeps its own encounters
+    assert subjective.encounters[0] is not nominal.encounters[0]
+    assert subjective.encounters == nominal.encounters
+    tr, te = subjective.trajectories[0], subjective.telemetry[0]
+    for series in (tr.ts, tr.xs, tr.ys, tr.headings, tr.speeds,
+                   te.lat_acc, te.yaw_rate, te.lat_jerk):
+        with pytest.raises(ValueError):
+            series[0] = 1.0
+
+
+def test_simulation_fault_names_each_variant(monkeypatch):
+    step = world_module.step_arrays
+
+    def poisoned(xs, *args):
+        step(xs, *args)
+        xs[0] = np.nan
+
+    monkeypatch.setattr(world_module, "step_arrays", poisoned)
+    world = init_parade(7, TINY_WORLD)
+    _sail.cache_clear()
+    # nominal and subjective offensive share a course, so only the absence
+    # of a cached fault makes the second variant sail (and fail) again
+    for mode in ("nominal", "subjective"):
+        with pytest.raises(SimulationFault) as info:
+            run_boat_trial(world, "offensive", 30, mode)
+        assert str(info.value) == f"non-finite state at t=0.00s (seed 7, mode {mode})"
+    assert _sail.cache_info().currsize == 0
 
 
 def test_run_boat_trial_validation():

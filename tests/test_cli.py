@@ -5,13 +5,15 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from fairdial import cli
 from fairdial.cli import main
 from fairdial.errors import InputError
-from fairdial.randexp import trial_seeds
+from fairdial.fairness import dispute_records
+from fairdial.randexp import TrialConfig, _population, trial_seeds
 
 
 def run_cli(capsys, *argv):
@@ -200,6 +202,20 @@ def test_transcripts_hold_every_scored_dialogue(capsys, tmp_path):
         assert dialogues[key] == pairs
         assert forced[key] == round(float(r["mean_l_SL"]) * pairs)
 
+    # the same rows, in the same order, as fresh disputes one budget at a time
+    cfg = TrialConfig(n_agents=4, n_args=5, n_attacks=7, budget_grid=(0, 10, 20))
+    fresh = []
+    for trial, tseed in enumerate(trial_seeds(9, 2)):
+        xc, agents = _population(replace(cfg, seed=tseed))
+        for strategy in cfg.strategies:
+            for g in cfg.budgets:
+                label = xc.total_cost if g is None else g
+                for j, k, res in dispute_records(agents, xc, strategy, g, tseed):
+                    row = cli._transcript_row(trial, j, k, strategy, label, res)
+                    fresh.append([str(v) for v in row])
+    with open(out / "transcripts.csv", newline="") as fh:
+        assert list(csv.reader(fh))[1:] == fresh
+
 
 @pytest.mark.parametrize("argv", [
     ["sweep", "--jobs", "0"],
@@ -336,6 +352,31 @@ def test_boats_single_mode_with_config_override(capsys, tmp_path):
     assert recs[0][:4] == ["trial", "strategy", "mode", "first"]
     assert len(recs) == 2  # two boats, one encounter
     assert recs[1][2] == "nominal"
+
+
+def test_boats_simulation_fault_is_exit_3_and_publishes_nothing(
+        capsys, tmp_path, monkeypatch):
+    from fairdial.boatsim import world
+
+    step = world.step_arrays
+
+    def poisoned(xs, *args):
+        step(xs, *args)
+        xs[0] = float("nan")
+
+    monkeypatch.setattr(world, "step_arrays", poisoned)
+    world._sail.cache_clear()
+    override = tmp_path / "world.json"
+    override.write_text(json.dumps({
+        "arena_length": 3000.0, "n_agents": 2, "max_time": 300.0,
+    }), encoding="utf-8")
+    out = tmp_path / "boatrun"
+    code, _, err = run_cli(
+        capsys, "boats", "--trials", "1", "--seed", "7",
+        "--config", str(override), "--out", str(out))
+    assert code == 3
+    assert err.startswith("fairdial:") and "mode objective" in err
+    assert not out.exists()
 
 
 def test_boats_rejects_unknown_world_key(capsys, tmp_path):
