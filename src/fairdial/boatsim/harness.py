@@ -14,6 +14,7 @@ from .world import (
     OBJECTIVE,
     SUBJECTIVE,
     WorldConfig,
+    _sail,
     init_parade,
     run_boat_trial,
 )
@@ -100,9 +101,15 @@ def _run_one_trial(args):
 
 
 def run_boat_experiment(cfg: BoatExperimentConfig, jobs: int = 1):
-    """Per-(trial, strategy) summaries, merged in trial order."""
+    """Per-(trial, strategy) summaries, merged in trial order.
+
+    The last simulated world is dropped from ``_sail``'s cache on return.
+    """
     tasks = [(cfg, t) for t in range(cfg.n_trials)]
-    return [s for chunk in parallel_map(_run_one_trial, tasks, jobs) for s in chunk]
+    try:
+        return [s for chunk in parallel_map(_run_one_trial, tasks, jobs) for s in chunk]
+    finally:
+        _sail.cache_clear()
 
 
 def write_boat_summary_csv(summaries, path):

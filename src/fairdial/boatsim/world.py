@@ -331,12 +331,16 @@ def _sail(world: World, course: tuple):
     and (k, t_trigger, t_field_on) for every pair that met, in pair order.
     The one cached entry serves the next variant with an equal course; a
     fault is raised, never cached.
+
+    The course becomes ``(n, n)`` pair tables: ``r_on`` (activation radius),
+    ``beats[winner, loser]`` and ``yields_to[loser, winner]`` (1.0 where the
+    loser yields).  Encounter state is symmetric masks and tick stamps:
+    ``met``/``met_tick`` (came into sensor range), ``waiting`` (met, field
+    not yet on) and ``on``/``on_tick`` (field on).
     """
     cfg = world.config
     n = cfg.n_agents
     pairs = list(combinations(range(n), 2))
-    pair_index = {pair: k for k, pair in enumerate(pairs)}
-    flat = [i * n + j for i, j in pairs]  # a pair's index into d_flat
     dt = cfg.tick
     max_ticks = int(round(cfg.max_time / dt)) + 1
 
@@ -362,8 +366,7 @@ def _sail(world: World, course: tuple):
     # per-tick work arrays, reused in place
     delta = np.empty((2, n, n))  # [component, agent, other]: agent - other
     d = np.empty((n, n))
-    d_flat = d.reshape(-1)
-    d_diag = d_flat[::n + 1]
+    d_diag = d.reshape(-1)[::n + 1]
     far = np.zeros((n, n), dtype=bool)
     was_far = np.zeros((n, n), dtype=bool)
     entered = np.empty((n, n), dtype=bool)
@@ -372,22 +375,26 @@ def _sail(world: World, course: tuple):
     beta = cfg.starboard_bias
     swirl = np.array([-beta, beta])[:, None, None]
 
-    t_trigger = {}  # pair index -> time the pair came into sensor range
-    t_field_on = {}  # pair index -> time its field switched on
-    met = np.zeros((n, n), dtype=bool)
+    first, second = np.array(pairs).T
+    winner, loser, r_act, yielding = (np.array(c) for c in zip(*course))
+    r_on = np.zeros((n, n))
+    r_on[first, second] = r_on[second, first] = r_act
+    beats = np.zeros((n, n), dtype=bool)
+    beats[winner, loser] = True
+    yields_to = np.zeros((n, n))
+    yields_to[loser, winner] = yielding
+
+    # armed = on & beats: the winner's side of each pair whose field is on
+    met, waiting, on, armed = np.zeros((4, n, n), dtype=bool)
+    met_tick, on_tick = np.zeros((2, n, n), dtype=int)
+    n_waiting = n_on = 0
     # [agent, repulsor]: 1.0 where the agent yields to the repulsor
     avoid_perm = np.zeros((n, n))
     yields = False  # whether avoid_perm holds any pair
-    pending = []  # engaged pairs whose field is not yet active
-    pending_arrays = None  # their flat pair indices and activation radii
-    # active-field encounters as parallel arrays for the per-tick reflex scan
-    act = {"pair": [], "winner": [], "loser": [], "yielding": []}
-    act_arrays = None
     eps = 1e-9
     ticks_done = 0
 
     for tick in range(max_ticks):
-        t = tick * dt
         rec[tick] = state
         ticks_done = tick + 1
         if n_arrived == n:
@@ -408,52 +415,30 @@ def _sail(world: World, course: tuple):
         was_far, far = far, was_far
         if np.count_nonzero(entered):
             entered &= ~met
-            for i, j in np.argwhere(entered):
-                if i >= j:
-                    continue
-                i, j = int(i), int(j)
-                met[i, j] = met[j, i] = True
-                k = pair_index[i, j]
-                t_trigger[k] = t
-                pending.append(k)
-                pending_arrays = None
+            met |= entered
+            met_tick[entered] = tick
+            waiting |= entered
+            n_waiting = np.count_nonzero(waiting)
 
-        if pending:
-            if pending_arrays is None:
-                pending_arrays = (
-                    np.array([flat[k] for k in pending]),
-                    np.array([course[k][2] for k in pending]),
-                )
-            on = d_flat[pending_arrays[0]] <= pending_arrays[1]
-            if np.count_nonzero(on):
-                for k, engaged in zip(pending, on.tolist()):
-                    if not engaged:
-                        continue
-                    t_field_on[k] = t
-                    winner, loser, _, yielding = course[k]
-                    if yielding:
-                        avoid_perm[loser, winner] = 1.0
-                        yields = True
-                    act["pair"].append(flat[k])
-                    act["winner"].append(winner)
-                    act["loser"].append(loser)
-                    act["yielding"].append(yielding)
-                act_arrays = None
-                pending = [k for k in pending if k not in t_field_on]
-                pending_arrays = None
+        if n_waiting:
+            hit = (d <= r_on) & waiting
+            if np.count_nonzero(hit):
+                waiting &= ~hit
+                n_waiting = np.count_nonzero(waiting)
+                on |= hit
+                n_on = np.count_nonzero(on)
+                on_tick[hit] = tick
+                np.logical_and(on, beats, out=armed)
+                avoid_perm[hit] = yields_to[hit]
+                yields = bool(avoid_perm.any())
 
         avoid = avoid_perm
-        if act["pair"]:
-            if act_arrays is None:
-                act_arrays = {k: np.array(v) for k, v in act.items()}
-            crit = d_flat[act_arrays["pair"]] < cfg.r_crit
+        if n_on:
+            # collision reflex: the winner diverts too; a non-yielding
+            # loser keeps ignoring its opponent outright
+            crit = (d < cfg.r_crit) & armed
             if np.count_nonzero(crit):
-                # collision reflex: the winner diverts too; a non-yielding
-                # loser keeps ignoring its opponent outright
-                avoid = avoid_perm.copy()
-                avoid[act_arrays["winner"][crit], act_arrays["loser"][crit]] = 1.0
-                both = crit & act_arrays["yielding"]
-                avoid[act_arrays["loser"][both], act_arrays["winner"][both]] = 1.0
+                avoid = avoid_perm + crit
 
         desired = cfg.goal_weight * to_goal
         desired /= np.maximum(goal_dist, eps)
@@ -500,7 +485,7 @@ def _sail(world: World, course: tuple):
         np.multiply(speeds, yaw_rates, out=lat)
 
         if tick % _FINITE_CHECK_EVERY == 0 and not np.isfinite(pos).all():
-            raise SimulationFault(f"non-finite state at t={t:.2f}s")
+            raise SimulationFault(f"non-finite state at t={tick * dt:.2f}s")
 
     T = ticks_done
     # (6, n, T): one contiguous series per recorded quantity and agent
@@ -529,5 +514,8 @@ def _sail(world: World, course: tuple):
         )
         for i in range(n)
     )
-    times = tuple((k, t_trigger[k], t_field_on.get(k)) for k in sorted(t_trigger))
+    times = tuple(
+        (k, int(met_tick[i, j]) * dt, int(on_tick[i, j]) * dt if on[i, j] else None)
+        for k, (i, j) in enumerate(pairs) if met[i, j]
+    )
     return trajectories, telemetry, times

@@ -104,15 +104,20 @@ def _transcript_row(trial, pr_id, op_id, strategy, g, result):
 
 # ---------------------------------------------------------------- execute
 
-def _execute_sweep(config: dict, out_dir: Path):
-    cfg = TrialConfig(
+def _trial_config(config: dict, **extra) -> TrialConfig:
+    """The TrialConfig of a sweep or ecdf config."""
+    return TrialConfig(
         n_agents=config["agents"],
         n_args=config["args"],
         n_attacks=config["attacks"],
         cost_range=tuple(config["cost_range"]),
-        budget_grid=tuple(config["budget_grid"]),
         seed=config["seed"],
+        **extra,
     )
+
+
+def _execute_sweep(config: dict, out_dir: Path):
+    cfg = _trial_config(config, budget_grid=tuple(config["budget_grid"]))
     rows = sweep(cfg, config["trials"], jobs=config.get("jobs", 1))
     write_sweep_csv(rows, out_dir / "sweep.csv")
     write_summary_csv(summarise(rows), out_dir / "sweep_summary.csv")
@@ -154,14 +159,9 @@ def _write_transcripts(cfg: TrialConfig, n_trials: int, path: Path):
 
 
 def _execute_ecdf(config: dict, out_dir: Path):
-    cfg = TrialConfig(
-        n_agents=config["agents"],
-        n_args=config["args"],
-        n_attacks=config["attacks"],
-        cost_range=tuple(config["cost_range"]),
-        seed=config["seed"],
+    tables = ecdf_privacy_cost(
+        _trial_config(config), config["trials"], jobs=config.get("jobs", 1)
     )
-    tables = ecdf_privacy_cost(cfg, config["trials"], jobs=config.get("jobs", 1))
     write_ecdf_csv(tables, out_dir / "ecdf.csv")
     write_ecdf_plot_script(out_dir / "ecdf_plots.gp")
     return ["ecdf.csv", "ecdf_plots.gp"]
@@ -176,10 +176,10 @@ def _world_config_from(doc) -> WorldConfig:
     phys = doc.pop("physics", None)
     kwargs = {}
     for key, value in doc.items():
-        if not hasattr(WorldConfig, key) and key not in WorldConfig.__dataclass_fields__:
+        if key not in WorldConfig.__dataclass_fields__:
             raise InputError(f"unknown world config key {key!r}")
         kwargs[key] = value
-    if phys:
+    if phys is not None:
         if not isinstance(phys, dict):
             raise InputError("'physics' must be a JSON object")
         unknown = set(phys) - set(PhysicsParams.__dataclass_fields__)
@@ -460,33 +460,28 @@ def _cmd_dispute(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    grid = list(range(0, args.budget_max + 1, args.budget_step))
-    config = {
+def _population_config(args) -> dict:
+    """The config keys that sweep and ecdf share."""
+    return {
         "agents": args.agents,
         "args": args.args,
         "attacks": args.attacks,
         "cost_range": [args.cost_min, args.cost_max],
-        "budget_grid": grid,
         "trials": args.trials,
         "seed": _resolve_seed(args.seed),
         "jobs": args.jobs,
-        "log_transcripts": args.log_transcripts,
     }
+
+
+def _cmd_sweep(args) -> int:
+    config = _population_config(args)
+    config["budget_grid"] = list(range(0, args.budget_max + 1, args.budget_step))
+    config["log_transcripts"] = args.log_transcripts
     return _run_command("sweep", config, args.out)
 
 
 def _cmd_ecdf(args) -> int:
-    config = {
-        "agents": args.agents,
-        "args": args.args,
-        "attacks": args.attacks,
-        "cost_range": [args.cost_min, args.cost_max],
-        "trials": args.trials,
-        "seed": _resolve_seed(args.seed),
-        "jobs": args.jobs,
-    }
-    return _run_command("ecdf", config, args.out)
+    return _run_command("ecdf", _population_config(args), args.out)
 
 
 def _cmd_boats(args) -> int:
@@ -593,12 +588,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_disp.add_argument("--json", action="store_true")
     p_disp.set_defaults(func=_cmd_dispute)
 
-    p_sweep = sub.add_parser("sweep", help="budget sweep over random cultures")
-    p_sweep.add_argument("--agents", type=int, default=16)
-    p_sweep.add_argument("--args", type=int, default=16)
-    p_sweep.add_argument("--attacks", type=int, default=48)
-    p_sweep.add_argument("--cost-min", type=int, default=1)
-    p_sweep.add_argument("--cost-max", type=int, default=20)
+    population = argparse.ArgumentParser(add_help=False)
+    population.add_argument("--agents", type=int, default=16)
+    population.add_argument("--args", type=int, default=16)
+    population.add_argument("--attacks", type=int, default=48)
+    population.add_argument("--cost-min", type=int, default=1)
+    population.add_argument("--cost-max", type=int, default=20)
+
+    p_sweep = sub.add_parser("sweep", parents=[population],
+                             help="budget sweep over random cultures")
     p_sweep.add_argument("--budget-max", type=int, default=60)
     p_sweep.add_argument("--budget-step", type=_positive_int, default=5)
     p_sweep.add_argument("--trials", type=_positive_int, default=200)
@@ -609,12 +607,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_ecdf = sub.add_parser("ecdf", help="privacy-cost ECDF from unrestricted dialogues")
-    p_ecdf.add_argument("--agents", type=int, default=16)
-    p_ecdf.add_argument("--args", type=int, default=16)
-    p_ecdf.add_argument("--attacks", type=int, default=48)
-    p_ecdf.add_argument("--cost-min", type=int, default=1)
-    p_ecdf.add_argument("--cost-max", type=int, default=20)
+    p_ecdf = sub.add_parser("ecdf", parents=[population],
+                            help="privacy-cost ECDF from unrestricted dialogues")
     p_ecdf.add_argument("--trials", type=_positive_int, default=50)
     p_ecdf.add_argument("--seed", type=int, default=None)
     p_ecdf.add_argument("--jobs", type=_positive_int, default=1)

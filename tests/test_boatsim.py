@@ -288,6 +288,29 @@ def test_objective_trial_two_boats():
     assert d.min() > 100.0  # no collision-reflex breach in the referee world
 
 
+def test_thresholds_at_exact_distances():
+    # A pair meets, and a free ruling's field switches on, at d <= r_max;
+    # the reflex acts only at d < r_crit.  Each threshold is set to a
+    # distance the approaching pair of world 7 reaches exactly at one tick.
+    base = run_boat_trial(init_parade(7, TINY_WORLD), None, None, "objective")
+    t0, t1 = base.trajectories
+    d = np.hypot(t0.xs - t1.xs, t0.ys - t1.ys)  # the tick loop's distances
+    k = int(np.argmax(d < 1500.0))  # before the pair meets at 1000 m
+    j = int(np.argmax(d < 500.0))  # field on, reflex not yet
+    assert (d[:k] > d[k]).all() and (d[:j] > d[j]).all()
+    world = init_parade(7, dataclasses.replace(TINY_WORLD, r_max=float(d[k])))
+    (enc,) = run_boat_trial(world, None, None, "objective").encounters
+    assert enc.t_trigger == enc.t_field_on == k * TINY_WORLD.tick
+    world = init_parade(7, dataclasses.replace(TINY_WORLD, r_crit=float(d[j])))
+    reflex = run_boat_trial(world, None, None, "objective")
+
+    def yaw(res):
+        return np.array([te.yaw_rate[:j + 3] for te in res.telemetry])
+
+    # tick j + 1, the first inside r_crit, steers; tick j + 2 records it
+    assert np.flatnonzero((yaw(base) != yaw(reflex)).any(axis=0))[0] == j + 2
+
+
 def test_nominal_trial_records_spend():
     world = init_parade(7, TINY_WORLD)
     res = run_boat_trial(world, "min_cost", 30, "nominal")
@@ -575,6 +598,7 @@ def test_boat_experiment_tiny_run(tmp_path):
     cfg = BoatExperimentConfig(
         seed=1, strategies=("min_cost",), g=30, n_trials=2, world=TINY_WORLD)
     summaries = run_boat_experiment(cfg)
+    assert _sail.cache_info().currsize == 0  # no world outlives the run
     assert len(summaries) == 2
     for s in summaries:
         assert s.strategy == "min_cost"

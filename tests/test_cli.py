@@ -280,11 +280,14 @@ SWEEP_CONFIG = {
     (json.dumps({"command": "boats", "config": {
         "strategy": "all", "budget": 30, "trials": 1, "seed": 1, "mode": "all",
         "world": [1]}}), "'world' must be a JSON object"),
+    (json.dumps({"command": "boats", "config": {
+        "strategy": "all", "budget": 30, "trials": 1, "seed": 1, "mode": "all",
+        "world": {"__post_init__": 1}}}), "unknown world config key"),
     (json.dumps({"command": "ecdf", "config": {**SWEEP_CONFIG, "jobs": 1.5}}),
      "'jobs' must be an integer"),
 ], ids=["invalid-json", "not-an-object", "no-config", "config-not-an-object",
         "missing-key", "string-count", "bool-count", "long-pair",
-        "world-not-an-object", "float-jobs"])
+        "world-not-an-object", "world-class-attribute", "float-jobs"])
 def test_rerun_rejects_bad_manifest(capsys, tmp_path, text, reason):
     bad = tmp_path / "manifest.json"
     bad.write_text(text, encoding="utf-8")
@@ -390,6 +393,8 @@ def test_boats_rejects_unknown_world_key(capsys, tmp_path):
 
 @pytest.mark.parametrize("text", [
     "[1]", '{"n_agents": "x"}', '{"tick": -1}', '{"physics": 5}', "{",
+    '{"__post_init__": 1}', '{"physics": 0}', '{"physics": []}',
+    '{"physics": ""}', '{"physics": false}',
 ])
 def test_boats_rejects_bad_config_before_writing(capsys, tmp_path, text):
     override = tmp_path / "world.json"
