@@ -11,13 +11,14 @@ so expensive negotiations produce later, sharper evasions.
 Mode differences: in subjective mode a loser whose dialogue was cut off by
 the budget refuses to yield and sails straight on (the winner keeps only a
 short-range collision reflex); objective mode replaces dialogues with the
-referee.  All modes share one physical world per trial seed, and variants
-whose per-pair rulings agree share one simulation of it.
+referee.  All modes share one physical world per trial seed; variants
+whose per-pair rulings agree share one simulation of it, and the distinct
+simulations of a world step together in one batch.
 """
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import numbers
 import random
 from dataclasses import dataclass, fields, replace
@@ -48,8 +49,9 @@ OBJECTIVE = "objective"
 MODES = (NOMINAL, SUBJECTIVE, OBJECTIVE)
 
 _FINITE_CHECK_EVERY = 400  # ticks between non-finite state sweeps
-# A world preallocates a (ticks x 6 x boats) float array, so a config may ask
-# for at most this many ticks (max_time / tick); the default is 30,000.
+# A batch of courses preallocates a (ticks x courses x 6 x boats) float array,
+# so a config may ask for at most this many ticks (max_time / tick); the
+# default is 30,000.
 MAX_TICKS = 200_000
 
 
@@ -284,37 +286,90 @@ def resolve_encounter(world: World, i: int, j: int, strategy, g, mode: str,
     )
 
 
-def run_boat_trial(world: World, strategy, g, mode: str) -> BoatTrialResult:
-    """Simulate one full crossing and return per-agent histories.
-
-    Every pair is ruled before the first tick.  The tick loop reads a
-    ruling only through its course entry (winner, loser, activation
-    radius, yielding), so variants with the same course share one
-    simulation, and with it the read-only arrays of their results.
-    """
+def _variant(world: World, strategy, g, mode: str):
+    """A variant's trial-table key; objective mode drops strategy and g."""
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
-    if mode != OBJECTIVE:
-        if strategy not in STRATEGIES:
-            raise InputError(f"unknown strategy {strategy!r}")
-        if g is None or g < 0:
-            raise InputError("dialogue modes need a non-negative budget")
+    if mode == OBJECTIVE:
+        return world, mode, None, None
+    if strategy not in STRATEGIES:
+        raise InputError(f"unknown strategy {strategy!r}")
+    if g is None or g < 0:
+        raise InputError("dialogue modes need a non-negative budget")
+    return world, mode, strategy, g
+
+
+def _rule(world: World, mode: str, strategy, g):
+    """Every pair's ruling, in ``combinations(range(n), 2)`` order."""
     xc = expand(builtin_boat_culture())
-    rulings = [
+    return [
         resolve_encounter(world, i, j, strategy, g, mode, xc)
         for i, j in combinations(range(world.config.n_agents), 2)
     ]
-    course = tuple((r.winner, r.loser, r.r_act, r.yielding) for r in rulings)
+
+
+def _course(rulings) -> tuple:
+    """What the tick loop reads of each ruling."""
+    return tuple((r.winner, r.loser, r.r_act, r.yielding) for r in rulings)
+
+
+# (world, mode, strategy, g) -> (rulings, outcome) for each variant that
+# sail_variants has stepped; run_boat_trial serves those from here
+_TRIAL_TABLE = {}
+
+
+@contextlib.contextmanager
+def sail_variants(world: World, variants):
+    """Rule ``(strategy, g, mode)`` variants and step their courses together.
+
+    Each distinct course among the variants is sailed once, all of them in
+    one lockstep batch.  Inside the block :func:`run_boat_trial` serves
+    these variants from the trial table, without ruling or sailing them
+    again; the table is emptied on exit.  A course whose state turned
+    non-finite is not stored, so its variants sail alone and raise there.
+    """
+    ruled = {}
+    for strategy, g, mode in variants:
+        key = _variant(world, strategy, g, mode)
+        if key not in ruled:
+            rulings = _rule(*key)
+            ruled[key] = rulings, _course(rulings)
+    courses = list(dict.fromkeys(course for _, course in ruled.values()))
+    outcomes = dict(zip(courses, _sail(world, courses)))
     try:
-        trajectories, telemetry, times = _sail(world, course)
-    except SimulationFault as exc:
-        raise SimulationFault(f"{exc} (seed {world.seed}, mode {mode})") from None
+        for key, (rulings, course) in ruled.items():
+            if not isinstance(outcomes[course], SimulationFault):
+                _TRIAL_TABLE[key] = rulings, outcomes[course]
+        yield
+    finally:
+        _TRIAL_TABLE.clear()
+
+
+def run_boat_trial(world: World, strategy, g, mode: str) -> BoatTrialResult:
+    """Simulate one full crossing and return per-agent histories.
+
+    Every pair is ruled before the first tick.  A variant stepped by
+    :func:`sail_variants` is served from the trial table; any other is
+    ruled here and sailed alone, as a batch of one.  Variants with the same
+    course share their read-only trajectories.
+    """
+    key = _variant(world, strategy, g, mode)
+    entry = _TRIAL_TABLE.get(key)
+    if entry is None:
+        rulings = _rule(*key)
+        (outcome,) = _sail(world, [_course(rulings)])
+    else:
+        rulings, outcome = entry
+    if isinstance(outcome, SimulationFault):
+        raise SimulationFault(f"{outcome} (seed {world.seed}, mode {mode})")
+    trajectories, series, arrival, times = outcome
     return BoatTrialResult(
         mode=mode,
-        strategy=None if mode == OBJECTIVE else strategy,
-        g=None if mode == OBJECTIVE else g,
+        strategy=key[2],
+        g=key[3],
         trajectories=trajectories,
-        telemetry=telemetry,
+        telemetry=_telemetry(series, trajectories[0].ts, arrival,
+                             world.config.tick),
         encounters=tuple(
             replace(rulings[k], t_trigger=t_trigger, t_field_on=t_field_on)
             for k, t_trigger, t_field_on in times
@@ -322,94 +377,177 @@ def run_boat_trial(world: World, strategy, g, mode: str) -> BoatTrialResult:
     )
 
 
-@functools.lru_cache(maxsize=1)
-def _sail(world: World, course: tuple):
-    """Run the tick loop of one world under per-pair rulings.
+def _telemetry(series, ts, arrival, dt) -> tuple:
+    """Per-agent comfort series of a course's recorded ``series``.
 
-    ``course[k]`` is (winner, loser, r_act, yielding) for the k-th pair of
-    ``combinations(range(n), 2)``.  Returns the trajectories, the telemetry
-    and (k, t_trigger, t_field_on) for every pair that met, in pair order.
-    The one cached entry serves the next variant with an equal course; a
-    fault is raised, never cached.
+    Lateral acceleration is speed times yaw rate, and lateral jerk its
+    finite difference.  They are built for each result rather than
+    recorded, so a trial holds them only for the results still in use.
+    """
+    _, n, T = series.shape
+    lat_s = np.empty((n, T))
+    np.multiply(series[3], series[4], out=lat_s)
+    jerk_s = np.zeros((n, T))
+    np.subtract(lat_s[:, 1:], lat_s[:, :-1], out=jerk_s[:, 1:])
+    jerk_s[:, 1:] /= dt
+    lat_s.setflags(write=False)
+    jerk_s.setflags(write=False)
+    return tuple(
+        Telemetry(ts=ts, lat_acc=lat_s[i], yaw_rate=series[4, i],
+                  lat_jerk=jerk_s[i], arrival_index=arrival[i])
+        for i in range(n)
+    )
 
-    The course becomes ``(n, n)`` pair tables: ``r_on`` (activation radius),
-    ``beats[winner, loser]`` and ``yields_to[loser, winner]`` (1.0 where the
-    loser yields).  Encounter state is symmetric masks and tick stamps:
-    ``met``/``met_tick`` (came into sensor range), ``waiting`` (met, field
-    not yet on) and ``on``/``on_tick`` (field on).
+
+def _sail(world: World, courses) -> list:
+    """Run the tick loop of one world under a batch of courses in lockstep.
+
+    ``courses[v][k]`` is (winner, loser, r_act, yielding) for the k-th pair
+    of ``combinations(range(n), 2)``.  Returns one outcome per course: its
+    trajectories, its ``(5, n, T)`` series (x, y, heading, speed, yaw
+    rate), each agent's arrival index and (k, t_trigger, t_field_on) for
+    every pair that met, in pair order; or a ``SimulationFault`` if its
+    state turned non-finite.
+
+    Every per-course array has a leading batch axis, so one numpy call
+    steps all courses.  A course becomes ``(n, n)`` pair tables: ``r_on``
+    (activation radius), ``beats[winner, loser]`` and
+    ``yields_to[loser, winner]`` (1.0 where the loser yields).  Encounter
+    state is symmetric masks and tick stamps: ``met``/``met_tick`` (came
+    into sensor range), ``waiting`` (met, field not yet on) and
+    ``on``/``on_tick`` (field on).  A branch taken per course is a mask
+    over the batch; the field force, in particular, is added only to the
+    courses whose field or reflex acts, because adding another course's
+    +-0 force would turn a -0.0 demand into +0.0.
+
+    A course retires, and its row leaves the batch, on the tick after its
+    last boat arrives or once its state is found non-finite; the others
+    run on unchanged.  Every tick is recorded into one tick-major
+    ``(max_ticks, V, 5, n)`` buffer, and each course's series is a read-only
+    transposed view of it, so the results of a batch share that buffer.
     """
     cfg = world.config
     n = cfg.n_agents
     pairs = list(combinations(range(n), 2))
     dt = cfg.tick
     max_ticks = int(round(cfg.max_time / dt)) + 1
+    V = len(courses)
 
-    # The state lives in one (6, n) block whose rows are the working
-    # arrays, so recording a tick is a single row write.  x and y, and
-    # every (x, y) quantity below, share one array so that both components
-    # go through each numpy call together.
-    state = np.zeros((6, n))
-    pos = state[:2]
-    xs, ys, headings, speeds, yaw_rates, lat = state
-    rec = np.empty((max_ticks, 6, n))
-    pos[:] = [[a.start[k] for a in world.agents] for k in (0, 1)]
+    # Every course starts from one (5, n) block whose rows are the working
+    # arrays, so recording a tick is a single write.  x and y, and every
+    # (x, y) quantity below, share one array so that both components go
+    # through each numpy call together.
+    start = np.zeros((5, n))
+    start[:2] = [[a.start[k] for a in world.agents] for k in (0, 1)]
     goal = np.array([[a.goal[k] for a in world.agents] for k in (0, 1)])
-    to_goal = goal - pos
-    headings[:] = np.arctan2(to_goal[1], to_goal[0])
+    to_goal = goal - start[:2]
+    start[2] = np.arctan2(to_goal[1], to_goal[0])
     goal_dist = np.hypot(to_goal[0], to_goal[1])
-    arrived = np.zeros(n, dtype=bool)
-    n_arrived = 0
-    moored = np.zeros((n, n), dtype=bool)  # pairs with a moored boat
-    throttle = np.ones(n)
-    arrival_tick = np.full(n, -1, dtype=int)
-
-    # per-tick work arrays, reused in place
-    delta = np.empty((2, n, n))  # [component, agent, other]: agent - other
-    d = np.empty((n, n))
-    d_diag = d.reshape(-1)[::n + 1]
-    far = np.zeros((n, n), dtype=bool)
-    was_far = np.zeros((n, n), dtype=bool)
-    entered = np.empty((n, n), dtype=bool)
+    state, to_goal, goal_dist = (
+        np.repeat(a[None], V, axis=0) for a in (start, to_goal, goal_dist)
+    )
+    rec = np.empty((max_ticks, V, 5, n))
+    rows = np.arange(V)  # the course of each batch row
+    arrived = np.zeros((V, n), dtype=bool)
+    moored = np.zeros((V, n, n), dtype=bool)  # pairs with a moored boat
+    throttle = np.ones((V, n))
+    arrival_tick = np.full((V, n), -1, dtype=int)
+    was_far = np.zeros((V, n, n), dtype=bool)
     # unit vector u to (u_x - beta u_y, u_y + beta u_x): the field bends
     # toward starboard
     beta = cfg.starboard_bias
     swirl = np.array([-beta, beta])[:, None, None]
 
     first, second = np.array(pairs).T
-    winner, loser, r_act, yielding = (np.array(c) for c in zip(*course))
-    r_on = np.zeros((n, n))
-    r_on[first, second] = r_on[second, first] = r_act
-    beats = np.zeros((n, n), dtype=bool)
-    beats[winner, loser] = True
-    yields_to = np.zeros((n, n))
-    yields_to[loser, winner] = yielding
+    ruled = np.array(courses, dtype=float)  # (V, pairs, 4)
+    winner, loser = ruled[:, :, :2].astype(int).transpose(2, 0, 1)
+    r_act, yielding = ruled[:, :, 2], ruled[:, :, 3]
+    v = rows[:, None]
+    r_on = np.zeros((V, n, n))
+    r_on[v, first, second] = r_on[v, second, first] = r_act
+    beats = np.zeros((V, n, n), dtype=bool)
+    beats[v, winner, loser] = True
+    yields_to = np.zeros((V, n, n))
+    yields_to[v, loser, winner] = yielding
 
     # armed = on & beats: the winner's side of each pair whose field is on
-    met, waiting, on, armed = np.zeros((4, n, n), dtype=bool)
-    met_tick, on_tick = np.zeros((2, n, n), dtype=int)
-    n_waiting = n_on = 0
-    # [agent, repulsor]: 1.0 where the agent yields to the repulsor
-    avoid_perm = np.zeros((n, n))
-    yields = False  # whether avoid_perm holds any pair
+    met, waiting, on, armed = np.zeros((4, V, n, n), dtype=bool)
+    met_tick, on_tick = np.zeros((2, V, n, n), dtype=int)
+    # [course, agent, repulsor]: 1.0 where the agent yields to the repulsor
+    avoid_perm = np.zeros((V, n, n))
+    yields = np.zeros(V, dtype=bool)  # whether a course's avoid_perm holds any pair
     eps = 1e-9
-    ticks_done = 0
+    outcomes = [None] * V
+    drop = None  # rows that retire at the top of the next tick
+    resized = True  # the batch rows changed: rebind views and work arrays
+
+    def finish(r, T):
+        """The outcome of batch row ``r`` over its first ``T`` ticks."""
+        series = rec[:T, rows[r]].transpose(1, 2, 0)  # (5, n, T), no copy
+        series.setflags(write=False)  # shared by every variant with this course
+        x_s, y_s, heading_s, speed_s, _ = series
+        if not (np.isfinite(x_s).all() and np.isfinite(y_s).all()):
+            return SimulationFault("non-finite trajectory")
+        ts = np.arange(T) * dt
+        ts.setflags(write=False)  # shared by every agent's series
+        trajectories = tuple(
+            Trajectory(ts=ts, xs=x_s[i], ys=y_s[i], headings=heading_s[i],
+                       speeds=speed_s[i])
+            for i in range(n)
+        )
+        arrival = tuple(int(t) if t >= 0 else T for t in arrival_tick[r])
+        met_r, on_r, met_tick_r, on_tick_r = met[r], on[r], met_tick[r], on_tick[r]
+        times = tuple(
+            (k, int(met_tick_r[i, j]) * dt,
+             int(on_tick_r[i, j]) * dt if on_r[i, j] else None)
+            for k, (i, j) in enumerate(pairs) if met_r[i, j]
+        )
+        return trajectories, series, arrival, times
 
     for tick in range(max_ticks):
-        rec[tick] = state
-        ticks_done = tick + 1
-        if n_arrived == n:
-            break
+        rec[tick, rows] = state
+        if drop is not None:
+            for r in np.flatnonzero(drop):
+                if outcomes[rows[r]] is None:
+                    outcomes[rows[r]] = finish(r, tick + 1)
+            if drop.all():
+                break
+            keep = ~drop
+            (rows, state, to_goal, goal_dist, arrived, moored, throttle,
+             arrival_tick, was_far, r_on, beats, yields_to, met, waiting, on,
+             armed, met_tick, on_tick, avoid_perm, yields) = (
+                a[keep] for a in (
+                    rows, state, to_goal, goal_dist, arrived, moored, throttle,
+                    arrival_tick, was_far, r_on, beats, yields_to, met, waiting,
+                    on, armed, met_tick, on_tick, avoid_perm, yields)
+            )
+            drop = None
+            resized = True
+        if resized:
+            resized = False
+            pos = state[:, :2]
+            xs, ys, headings, speeds, yaw_rates = state.swapaxes(0, 1)
+            # [course, component, agent, other]: agent - other
+            delta = np.empty((len(rows), 2, n, n))
+            d = np.empty((len(rows), n, n))
+            d_diag = d.reshape(len(rows), -1)[:, ::n + 1]
+            far = np.empty_like(was_far)
+            entered = np.empty_like(was_far)
+            n_waiting = np.count_nonzero(waiting)
+            n_on = np.count_nonzero(on)
+            any_yields = bool(yields.any())
+            any_arrived = bool(arrived.any())
 
-        np.subtract(pos[:, :, None], pos[:, None, :], out=delta)
-        np.hypot(delta[0], delta[1], out=d)
+        np.subtract(pos[:, :, :, None], pos[:, :, None, :], out=delta)
+        np.hypot(delta[:, 0], delta[:, 1], out=d)
         d_diag[:] = np.inf
-        if n_arrived:
+        if any_arrived:
             # moored boats neither trigger encounters nor exert fields
             d[moored] = np.inf
 
         # A pair enters sensor range when it was beyond r_max last tick and
         # is not now.  (A NaN distance reads as in range here, but a NaN
-        # state always ends the trial in SimulationFault.)
+        # state always retires its course with a SimulationFault.)
         np.greater(d, cfg.r_max, out=far)
         np.greater(was_far, far, out=entered)
         was_far, far = far, was_far
@@ -430,92 +568,76 @@ def _sail(world: World, course: tuple):
                 on_tick[hit] = tick
                 np.logical_and(on, beats, out=armed)
                 avoid_perm[hit] = yields_to[hit]
-                yields = bool(avoid_perm.any())
+                np.any(avoid_perm, axis=(1, 2), out=yields)
+                any_yields = bool(yields.any())
 
         avoid = avoid_perm
+        acts = yields  # the courses whose field or reflex acts this tick
         if n_on:
             # collision reflex: the winner diverts too; a non-yielding
             # loser keeps ignoring its opponent outright
             crit = (d < cfg.r_crit) & armed
             if np.count_nonzero(crit):
                 avoid = avoid_perm + crit
+                acts = yields | crit.any(axis=(1, 2))
 
         desired = cfg.goal_weight * to_goal
-        desired /= np.maximum(goal_dist, eps)
-        if yields or avoid is not avoid_perm:
+        desired /= np.maximum(goal_dist, eps)[:, None]
+        if any_yields or avoid is not avoid_perm:
             inv = np.maximum(d, cfg.distance_floor)
             np.divide(1.0, inv, out=inv)
             mag = inv - 1.0 / cfg.r_max
             np.maximum(mag, 0.0, out=mag)
             mag *= cfg.k_repulsion
             mag *= avoid
-            unit = delta * inv
-            push = unit[::-1] * swirl
+            unit = delta * inv[:, None]
+            push = unit[:, ::-1] * swirl
             push += unit
-            push *= mag
-            desired += np.add.reduce(push, axis=2)
+            push *= mag[:, None]
+            np.add(desired, np.add.reduce(push, axis=3), out=desired,
+                   where=acts[:, None, None])
 
         # heading error wrapped to (-pi, pi]; step_arrays clamps the command
-        yaw_cmd = np.arctan2(desired[1], desired[0])
+        yaw_cmd = np.arctan2(desired[:, 1], desired[:, 0])
         yaw_cmd -= headings
         np.subtract(np.pi, yaw_cmd, out=yaw_cmd)
         np.mod(yaw_cmd, 2.0 * np.pi, out=yaw_cmd)
         np.subtract(np.pi, yaw_cmd, out=yaw_cmd)
         yaw_cmd *= cfg.heading_gain
-        if n_arrived:
+        if any_arrived:
             yaw_cmd[arrived] = 0.0
 
         step_arrays(xs, ys, headings, speeds, yaw_rates, throttle, yaw_cmd,
                     cfg.physics, dt)
-        if n_arrived:
+        if any_arrived:
             speeds[arrived] = 0.0
             yaw_rates[arrived] = 0.0
 
         np.subtract(goal, pos, out=to_goal)
-        np.hypot(to_goal[0], to_goal[1], out=goal_dist)
+        np.hypot(to_goal[:, 0], to_goal[:, 1], out=goal_dist)
         newly = np.greater(goal_dist <= cfg.goal_tolerance, arrived)
         if np.count_nonzero(newly):
             arrived |= newly
-            n_arrived = np.count_nonzero(arrived)
-            np.logical_or(arrived[:, None], arrived, out=moored)
+            any_arrived = True
+            np.logical_or(arrived[:, :, None], arrived[:, None, :], out=moored)
             arrival_tick[newly] = tick + 1
             speeds[newly] = 0.0
             yaw_rates[newly] = 0.0
             throttle[newly] = 0.0
-        np.multiply(speeds, yaw_rates, out=lat)
+            done = arrived.all(axis=1)
+            if done.any():
+                drop = done
 
-        if tick % _FINITE_CHECK_EVERY == 0 and not np.isfinite(pos).all():
-            raise SimulationFault(f"non-finite state at t={tick * dt:.2f}s")
+        if tick % _FINITE_CHECK_EVERY == 0:
+            bad = ~np.isfinite(pos).all(axis=(1, 2))
+            if bad.any():
+                for r in np.flatnonzero(bad):
+                    outcomes[rows[r]] = SimulationFault(
+                        f"non-finite state at t={tick * dt:.2f}s"
+                    )
+                drop = bad if drop is None else drop | bad
 
-    T = ticks_done
-    # (6, n, T): one contiguous series per recorded quantity and agent
-    series = rec[:T].transpose(1, 2, 0).copy()
-    series.setflags(write=False)  # shared by every variant with this course
-    x_s, y_s, heading_s, speed_s, yaw_s, lat_s = series
-    if not (np.isfinite(x_s).all() and np.isfinite(y_s).all()):
-        raise SimulationFault("non-finite trajectory")
-    jerk_s = np.zeros_like(lat_s)
-    jerk_s[:, 1:] = np.diff(lat_s, axis=1) / dt
-    jerk_s.setflags(write=False)
-    ts = np.arange(T) * dt
-    ts.setflags(write=False)  # shared by every agent's series
-    trajectories = tuple(
-        Trajectory(ts=ts, xs=x_s[i], ys=y_s[i], headings=heading_s[i],
-                   speeds=speed_s[i])
-        for i in range(n)
-    )
-    telemetry = tuple(
-        Telemetry(
-            ts=ts,
-            lat_acc=lat_s[i],
-            yaw_rate=yaw_s[i],
-            lat_jerk=jerk_s[i],
-            arrival_index=int(arrival_tick[i]) if arrival_tick[i] >= 0 else T,
-        )
-        for i in range(n)
-    )
-    times = tuple(
-        (k, int(met_tick[i, j]) * dt, int(on_tick[i, j]) * dt if on[i, j] else None)
-        for k, (i, j) in enumerate(pairs) if met[i, j]
-    )
-    return trajectories, telemetry, times
+    for r, course in enumerate(rows):
+        if outcomes[course] is None:
+            outcomes[course] = finish(r, max_ticks)
+    return outcomes

@@ -37,6 +37,7 @@ from .boatsim import (
     init_parade,
     run_boat_experiment,
     run_boat_trial,
+    sail_variants,
     write_boat_encounters_csv,
     write_boat_summary_csv,
     write_trajectory_csv,
@@ -213,20 +214,22 @@ def _execute_boats(config: dict, out_dir: Path):
         )
         outputs += ["boats_summary.csv", "boats_encounters.csv"]
         return outputs
-    # single-mode run: encounters plus (optionally) trajectories
+    # single-mode run: encounters plus (optionally) trajectories; a
+    # trial's strategies step their distinct courses as one batch
+    budget = None if mode == OBJECTIVE else config["budget"]
+    variants = [
+        (strategy, budget, mode)
+        for strategy in (strategies if mode != OBJECTIVE else (None,))
+    ]
     rows = []
     results = []
     for trial in range(config["trials"]):
         world = init_parade(derive_seed(config["seed"], "world", trial), world_cfg)
-        for strategy in (strategies if mode != OBJECTIVE else (None,)):
-            res = run_boat_trial(
-                world,
-                strategy,
-                None if mode == OBJECTIVE else config["budget"],
-                mode,
-            )
-            results.append((trial, res))
-            rows.append((trial, strategy, mode, res.encounters))
+        with sail_variants(world, variants):
+            for strategy, g, _ in variants:
+                res = run_boat_trial(world, strategy, g, mode)
+                results.append((trial, res))
+                rows.append((trial, strategy, mode, res.encounters))
     write_boat_encounters_csv(rows, out_dir / "boats_encounters.csv")
     outputs.append("boats_encounters.csv")
     if config.get("log_trajectories"):
@@ -548,6 +551,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the random culture's shape, shared by culture random, sweep and ecdf;
+    # sweep and ecdf also draw a population of agents from it
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("--args", type=int, default=16)
+    shape.add_argument("--attacks", type=int, default=48)
+    shape.add_argument("--cost-min", type=int, default=1)
+    shape.add_argument("--cost-max", type=int, default=20)
+    population = argparse.ArgumentParser(add_help=False)
+    population.add_argument("--agents", type=int, default=16)
+
     p_af = sub.add_parser("af", help="argumentation framework operations")
     af_sub = p_af.add_subparsers(dest="af_command", required=True)
     p_solve = af_sub.add_parser("solve", help="preferred extensions of a framework file")
@@ -564,11 +577,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_culture = sub.add_parser("culture", help="culture generation and export")
     cul_sub = p_culture.add_subparsers(dest="culture_command", required=True)
-    p_rand = cul_sub.add_parser("random", help="generate a random culture")
-    p_rand.add_argument("--args", type=int, default=16)
-    p_rand.add_argument("--attacks", type=int, default=48)
-    p_rand.add_argument("--cost-min", type=int, default=1)
-    p_rand.add_argument("--cost-max", type=int, default=20)
+    p_rand = cul_sub.add_parser("random", parents=[shape],
+                                help="generate a random culture")
     p_rand.add_argument("--seed", type=int, default=None)
     p_rand.add_argument("-o", "--output", required=True)
     p_rand.set_defaults(func=_cmd_culture_random)
@@ -588,14 +598,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_disp.add_argument("--json", action="store_true")
     p_disp.set_defaults(func=_cmd_dispute)
 
-    population = argparse.ArgumentParser(add_help=False)
-    population.add_argument("--agents", type=int, default=16)
-    population.add_argument("--args", type=int, default=16)
-    population.add_argument("--attacks", type=int, default=48)
-    population.add_argument("--cost-min", type=int, default=1)
-    population.add_argument("--cost-max", type=int, default=20)
-
-    p_sweep = sub.add_parser("sweep", parents=[population],
+    p_sweep = sub.add_parser("sweep", parents=[population, shape],
                              help="budget sweep over random cultures")
     p_sweep.add_argument("--budget-max", type=int, default=60)
     p_sweep.add_argument("--budget-step", type=_positive_int, default=5)
@@ -607,7 +610,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_ecdf = sub.add_parser("ecdf", parents=[population],
+    p_ecdf = sub.add_parser("ecdf", parents=[population, shape],
                             help="privacy-cost ECDF from unrestricted dialogues")
     p_ecdf.add_argument("--trials", type=_positive_int, default=50)
     p_ecdf.add_argument("--seed", type=int, default=None)

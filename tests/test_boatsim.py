@@ -1,5 +1,6 @@
 """Boat dynamics, parade setup, encounters and the trial harness."""
 
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -7,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from fairdial.boatsim import harness as harness_module
 from fairdial.boatsim import world as world_module
 from fairdial.boatsim.harness import (
     BoatExperimentConfig,
@@ -38,10 +40,10 @@ from fairdial.boatsim.world import (
     World,
     WorldConfig,
     _orient_pair,
-    _sail,
     activation_radius,
     init_parade,
     run_boat_trial,
+    sail_variants,
 )
 from fairdial.culture import FeatureDescription, sample_boat_agent
 from fairdial.dialogue import STRATEGIES
@@ -385,23 +387,44 @@ def test_boat_variants_bit_identical():
 
 
 # the harness's order: the referee world, then nominal and subjective per
-# strategy, so variants with equal courses run back to back
+# strategy; sail_variants takes (strategy, g, mode) triples
 HARNESS_ORDER = [("objective", None, None)] + [
     (mode, strategy, 30)
     for strategy in STRATEGIES for mode in ("nominal", "subjective")
 ]
 
 
+def _triples(variants):
+    return [(s, g, mode) for mode, s, g in variants]
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """The number of courses in each batch that ``_sail`` steps."""
+    sizes = []
+    sail = world_module._sail
+
+    def counted(world, courses):
+        sizes.append(len(courses))
+        return sail(world, courses)
+
+    monkeypatch.setattr(world_module, "_sail", counted)
+    return sizes
+
+
 @pytest.mark.parametrize("order", ["harness", "reversed", "uncached"])
-def test_shared_simulations_match_the_golden_digest(order):
+def test_shared_simulations_match_the_golden_digest(order, batches):
     world = init_parade(3, GOLDEN_WORLD)
     variants = HARNESS_ORDER[::-1] if order == "reversed" else HARNESS_ORDER
-    _sail.cache_clear()
-    results = {}
-    for mode, strategy, g in variants:
-        if order == "uncached":
-            _sail.cache_clear()
-        results[mode, strategy] = run_boat_trial(world, strategy, g, mode)
+    table = (contextlib.nullcontext() if order == "uncached"
+             else sail_variants(world, _triples(variants)))
+    with table:
+        results = {
+            (mode, strategy): run_boat_trial(world, strategy, g, mode)
+            for mode, strategy, g in variants
+        }
+    # the golden world's 9 variants have 6 distinct courses
+    assert batches == ([1] * 9 if order == "uncached" else [6])
     digest_order = [("objective", None)] + [
         (mode, strategy)
         for mode in ("nominal", "subjective") for strategy in STRATEGIES
@@ -409,7 +432,7 @@ def test_shared_simulations_match_the_golden_digest(order):
     assert _variant_digest([results[key] for key in digest_order]) == GOLDEN_DIGEST
 
 
-def test_consecutive_variants_match_fresh_runs():
+def test_consecutive_variants_match_fresh_runs(batches):
     # World 9's one pair: the referee and a zero budget differ only in the
     # winner, offensive at g=30 and g=40 only in r_act, and min_cost's
     # nominal and subjective worlds only in yielding.
@@ -417,33 +440,49 @@ def test_consecutive_variants_match_fresh_runs():
     variants = [("objective", None, None), ("nominal", "min_cost", 0),
                 ("nominal", "offensive", 30), ("nominal", "offensive", 40),
                 ("nominal", "min_cost", 30), ("subjective", "min_cost", 30)]
-    _sail.cache_clear()
-    in_a_row = [run_boat_trial(world, s, g, mode) for mode, s, g in variants]
-    assert _sail.cache_info().misses == len(variants)
+    with sail_variants(world, _triples(variants)):
+        in_a_row = [run_boat_trial(world, s, g, mode) for mode, s, g in variants]
+    assert batches == [len(variants)]
     for res, (mode, s, g) in zip(in_a_row, variants):
-        _sail.cache_clear()
         fresh = run_boat_trial(world, s, g, mode)
         assert _variant_digest([res]) == _variant_digest([fresh])
+    assert batches == [len(variants)] + [1] * len(variants)
 
 
-def test_default_trial_sails_six_courses():
+def test_default_trial_sails_six_courses(batches, monkeypatch):
     # Rulings, and so courses, do not depend on the time cap: a short
     # max_time keeps the default world's 120 pairs and their rulings.
     cfg = BoatExperimentConfig(g=30, n_trials=1,
                                world=WorldConfig(max_time=2.0))
-    _sail.cache_clear()
+    served = []
+    trial = harness_module.run_boat_trial
+
+    def spy(world, strategy, g, mode):
+        key = world_module._variant(world, strategy, g, mode)
+        served.append(key in world_module._TRIAL_TABLE)
+        return trial(world, strategy, g, mode)
+
+    monkeypatch.setattr(harness_module, "run_boat_trial", spy)
     _run_one_trial((cfg, 0))
-    info = _sail.cache_info()
-    assert (info.misses, info.hits) == (6, 3)
+    assert batches == [6]  # one batch of 6 courses
+    assert served == [True] * 9  # every variant came from the table
+    assert not world_module._TRIAL_TABLE
 
 
-def test_shared_results_are_read_only():
+def test_shared_results_are_read_only(batches):
     world = init_parade(7, TINY_WORLD)
-    _sail.cache_clear()
-    nominal = run_boat_trial(world, "offensive", 30, "nominal")
-    subjective = run_boat_trial(world, "offensive", 30, "subjective")
-    assert _sail.cache_info().misses == 1
+    with sail_variants(world, [("offensive", 30, "nominal"),
+                               ("offensive", 30, "subjective"),
+                               (None, None, "objective")]):
+        nominal = run_boat_trial(world, "offensive", 30, "nominal")
+        subjective = run_boat_trial(world, "offensive", 30, "subjective")
+        objective = run_boat_trial(world, None, None, "objective")
+    assert batches == [2]
     assert subjective.trajectories[0].xs is nominal.trajectories[0].xs
+    # the courses of a batch are views of one recording buffer
+    assert not np.array_equal(objective.trajectories[0].xs,
+                              nominal.trajectories[0].xs)
+    assert objective.trajectories[0].xs.base is nominal.trajectories[1].xs.base
     # each variant keeps its own encounters
     assert subjective.encounters[0] is not nominal.encounters[0]
     assert subjective.encounters == nominal.encounters
@@ -454,7 +493,7 @@ def test_shared_results_are_read_only():
             series[0] = 1.0
 
 
-def test_simulation_fault_names_each_variant(monkeypatch):
+def test_simulation_fault_names_each_variant(monkeypatch, batches):
     step = world_module.step_arrays
 
     def poisoned(xs, *args):
@@ -463,14 +502,102 @@ def test_simulation_fault_names_each_variant(monkeypatch):
 
     monkeypatch.setattr(world_module, "step_arrays", poisoned)
     world = init_parade(7, TINY_WORLD)
-    _sail.cache_clear()
-    # nominal and subjective offensive share a course, so only the absence
-    # of a cached fault makes the second variant sail (and fail) again
-    for mode in ("nominal", "subjective"):
-        with pytest.raises(SimulationFault) as info:
-            run_boat_trial(world, "offensive", 30, mode)
-        assert str(info.value) == f"non-finite state at t=0.00s (seed 7, mode {mode})"
-    assert _sail.cache_info().currsize == 0
+    # nominal and subjective offensive share a course; a faulted course is
+    # not stored, so each variant sails (and fails) again on its own
+    with sail_variants(world, [("offensive", 30, "nominal"),
+                               ("offensive", 30, "subjective")]):
+        assert not world_module._TRIAL_TABLE
+        for mode in ("nominal", "subjective"):
+            with pytest.raises(SimulationFault) as info:
+                run_boat_trial(world, "offensive", 30, mode)
+            assert str(info.value) == (
+                f"non-finite state at t=0.00s (seed 7, mode {mode})")
+    assert batches == [1, 1, 1]
+
+
+def _no_boat_arrives(results):
+    return all(te.arrival_index == len(te.ts)
+               for res in results for te in res.telemetry)
+
+
+def _courses_retire_apart(results):
+    # every boat arrives, and each distinct course (results of one course
+    # share their arrays) leaves the batch at a tick of its own
+    courses = {id(res.trajectories[0].xs): res for res in results}
+    ticks = {len(res.trajectories[0]) for res in courses.values()}
+    arrived = all(te.arrival_index < len(te.ts)
+                  for res in results for te in res.telemetry)
+    return arrived and len(ticks) == len(courses) > 1
+
+
+LOCKSTEP_WORLDS = {
+    "golden": (init_parade(3, GOLDEN_WORLD), HARNESS_ORDER, None),
+    "retiring": (
+        init_parade(7, GOLDEN_WORLD),
+        [(mode, s, 15 if s else None) for mode, s, _ in HARNESS_ORDER],
+        _courses_retire_apart,
+    ),
+    "capped": (
+        init_parade(3, dataclasses.replace(GOLDEN_WORLD, max_time=100.0)),
+        HARNESS_ORDER,
+        _no_boat_arrives,
+    ),
+    # no goal pull: every heading demand is a signed zero until a field
+    # acts, so a course must not take another course's force
+    "goal_weight_0": (
+        init_parade(7, dataclasses.replace(TINY_WORLD, goal_weight=0.0)),
+        HARNESS_ORDER,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCKSTEP_WORLDS))
+def test_lockstep_matches_each_course_alone(name, batches):
+    world, variants, shape = LOCKSTEP_WORLDS[name]
+    with sail_variants(world, _triples(variants)):
+        batched = [run_boat_trial(world, s, g, mode) for mode, s, g in variants]
+    assert len(batches) == 1 and batches[0] > 1
+    alone = [run_boat_trial(world, s, g, mode) for mode, s, g in variants]
+    assert len(batches) == 1 + len(variants)
+    for a, b in zip(batched, alone):
+        assert _variant_digest([a]) == _variant_digest([b])
+    assert shape is None or shape(batched)
+
+
+def test_poisoned_course_leaves_the_others_bit_identical(monkeypatch, batches):
+    world = init_parade(3, GOLDEN_WORLD)
+    variants = _triples(HARNESS_ORDER)
+    alone = {v: _variant_digest([run_boat_trial(world, *v)]) for v in variants}
+    courses = {
+        v: world_module._course(
+            world_module._rule(*world_module._variant(world, *v)))
+        for v in variants
+    }
+    step = world_module.step_arrays
+    spent = []
+
+    def poisoned(xs, *args):
+        step(xs, *args)
+        if not spent:  # the batch's first tick: poison its second course
+            spent.append(True)
+            xs[1] = np.nan
+
+    monkeypatch.setattr(world_module, "step_arrays", poisoned)
+    del batches[:]
+    with sail_variants(world, variants):
+        assert batches == [6]
+        second = list(dict.fromkeys(courses.values()))[1]
+        faulted = [v for v in variants if courses[v] == second]
+        stored = {key[1:] for key in world_module._TRIAL_TABLE}
+        assert faulted and stored == {
+            world_module._variant(world, *v)[1:]
+            for v in variants if v not in faulted
+        }
+        for v in variants:
+            # the faulted course's variants sail again alone, unpoisoned now
+            assert _variant_digest([run_boat_trial(world, *v)]) == alone[v]
+    assert batches == [6] + [1] * len(faulted)
 
 
 def test_run_boat_trial_validation():
@@ -598,7 +725,7 @@ def test_boat_experiment_tiny_run(tmp_path):
     cfg = BoatExperimentConfig(
         seed=1, strategies=("min_cost",), g=30, n_trials=2, world=TINY_WORLD)
     summaries = run_boat_experiment(cfg)
-    assert _sail.cache_info().currsize == 0  # no world outlives the run
+    assert not world_module._TRIAL_TABLE  # no world outlives the run
     assert len(summaries) == 2
     for s in summaries:
         assert s.strategy == "min_cost"

@@ -368,7 +368,6 @@ def test_boats_simulation_fault_is_exit_3_and_publishes_nothing(
         xs[0] = float("nan")
 
     monkeypatch.setattr(world, "step_arrays", poisoned)
-    world._sail.cache_clear()
     override = tmp_path / "world.json"
     override.write_text(json.dumps({
         "arena_length": 3000.0, "n_agents": 2, "max_time": 300.0,
