@@ -85,14 +85,6 @@ class Framework:
             masks[a] |= 1 << b
         return tuple(masks)
 
-    @cached_property
-    def self_attacker_mask(self) -> int:
-        mask = 0
-        for a, b in self.attacks:
-            if a == b:
-                mask |= 1 << a
-        return mask
-
 
 def _as_mask(members, n_args) -> int:
     mask = 0

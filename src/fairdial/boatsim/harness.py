@@ -14,7 +14,6 @@ from .world import (
     OBJECTIVE,
     SUBJECTIVE,
     WorldConfig,
-    _TRIAL_TABLE,
     init_parade,
     run_boat_trial,
     sail_variants,
@@ -66,57 +65,53 @@ class BoatTrialSummary:
 
 def _run_one_trial(args):
     cfg, trial = args
-    world = init_parade(derive_seed(cfg.seed, "world", trial), cfg.world)
     variants = [(None, None, OBJECTIVE)] + [
         (strategy, cfg.g, mode)
         for strategy in cfg.strategies for mode in (NOMINAL, SUBJECTIVE)
     ]
-    with sail_variants(world, variants):
-        objective = run_boat_trial(world, None, None, OBJECTIVE)
-        summaries = []
-        for strategy in cfg.strategies:
-            nominal = run_boat_trial(world, strategy, cfg.g, NOMINAL)
-            subjective = run_boat_trial(world, strategy, cfg.g, SUBJECTIVE)
-            losses = global_trajectory_losses(
-                nominal, subjective, objective,
-                stride=cfg.stride, literal_gap=cfg.literal_gap,
+    world = sail_variants(
+        init_parade(derive_seed(cfg.seed, "world", trial), cfg.world), variants)
+    objective = run_boat_trial(world, None, None, OBJECTIVE)
+    summaries = []
+    for strategy in cfg.strategies:
+        nominal = run_boat_trial(world, strategy, cfg.g, NOMINAL)
+        subjective = run_boat_trial(world, strategy, cfg.g, SUBJECTIVE)
+        losses = global_trajectory_losses(
+            nominal, subjective, objective,
+            stride=cfg.stride, literal_gap=cfg.literal_gap,
+        )
+        comfort = tuple(
+            comfort_metrics(nominal.telemetry[i], nominal.trajectories[i],
+                            top_speed=cfg.world.physics.top_speed)
+            for i in range(cfg.world.n_agents)
+        )
+        forced = sum(
+            1 for e in nominal.encounters if e.termination == BUDGET_FORCED
+        )
+        summaries.append(
+            BoatTrialSummary(
+                trial=trial,
+                strategy=strategy,
+                losses=losses,
+                comfort=comfort,
+                encounters={
+                    NOMINAL: nominal.encounters,
+                    SUBJECTIVE: subjective.encounters,
+                    OBJECTIVE: objective.encounters,
+                },
+                budget_forced=forced,
             )
-            comfort = tuple(
-                comfort_metrics(nominal.telemetry[i], nominal.trajectories[i],
-                                top_speed=cfg.world.physics.top_speed)
-                for i in range(cfg.world.n_agents)
-            )
-            forced = sum(
-                1 for e in nominal.encounters if e.termination == BUDGET_FORCED
-            )
-            summaries.append(
-                BoatTrialSummary(
-                    trial=trial,
-                    strategy=strategy,
-                    losses=losses,
-                    comfort=comfort,
-                    encounters={
-                        NOMINAL: nominal.encounters,
-                        SUBJECTIVE: subjective.encounters,
-                        OBJECTIVE: objective.encounters,
-                    },
-                    budget_forced=forced,
-                )
-            )
+        )
     return summaries
 
 
 def run_boat_experiment(cfg: BoatExperimentConfig, jobs: int = 1):
     """Per-(trial, strategy) summaries, merged in trial order.
 
-    Each trial steps its variants' distinct courses as one batch; no trial
-    table entry, and so no world, outlives the run.
+    Each trial steps its variants' distinct courses as one batch.
     """
     tasks = [(cfg, t) for t in range(cfg.n_trials)]
-    try:
-        return [s for chunk in parallel_map(_run_one_trial, tasks, jobs) for s in chunk]
-    finally:
-        _TRIAL_TABLE.clear()
+    return [s for chunk in parallel_map(_run_one_trial, tasks, jobs) for s in chunk]
 
 
 def write_boat_summary_csv(summaries, path):

@@ -13,15 +13,17 @@ the budget refuses to yield and sails straight on (the winner keeps only a
 short-range collision reflex); objective mode replaces dialogues with the
 referee.  All modes share one physical world per trial seed; variants
 whose per-pair rulings agree share one simulation of it, and the distinct
-simulations of a world step together in one batch.
+simulations of a world step together in one fixed batch.  The sailed
+variants travel with the world: :func:`sail_variants` returns a copy of it
+that carries their rulings and outcomes, and :func:`run_boat_trial` serves
+from that copy.
 """
 
 from __future__ import annotations
 
-import contextlib
 import numbers
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import combinations
 
 import numpy as np
@@ -36,7 +38,7 @@ from ..culture import (
     sample_boat_agent,
 )
 from ..dialogue import BUDGET_FORCED, STRATEGIES, run_dispute
-from ..errors import InputError, SimulationFault
+from ..errors import CapacityError, InputError, SimulationFault
 from ..fairness import objective_outcome
 from .physics import PhysicsParams, is_finite_real, step_arrays
 
@@ -126,6 +128,9 @@ class World:
     config: WorldConfig
     agents: tuple
     seed: int
+    # (mode, strategy, g) -> (rulings, outcome) for each variant that
+    # sail_variants has stepped; an outcome may be a SimulationFault
+    sailed: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def init_parade(seed: int, config: WorldConfig | None = None) -> World:
@@ -244,11 +249,12 @@ def _orient_pair(agents, i, j):
 
 
 def resolve_encounter(world: World, i: int, j: int, strategy, g, mode: str,
-                      xc, t: float | None = None) -> Encounter:
-    """Settle right of way for a pair that comes into sensor range at ``t``.
+                      xc) -> Encounter:
+    """Settle right of way for a pair, whenever it comes into sensor range.
 
-    The ruling does not depend on ``t``: the referee is deterministic and a
-    random dialogue is seeded by (world seed, pair, strategy, g).
+    The ruling does not depend on when the pair meets: the referee is
+    deterministic and a random dialogue is seeded by (world seed, pair,
+    strategy, g).  ``t_trigger`` is left None; the tick loop stamps it.
     """
     cfg = world.config
     pr_agent, op_agent = _orient_pair(world.agents, i, j)
@@ -281,22 +287,22 @@ def resolve_encounter(world: World, i: int, j: int, strategy, g, mode: str,
         termination=termination,
         z=z,
         r_act=activation_radius(z, g, cfg.r_max, cfg.r_crit),
-        t_trigger=t,
+        t_trigger=None,
         yielding=yielding,
     )
 
 
-def _variant(world: World, strategy, g, mode: str):
-    """A variant's trial-table key; objective mode drops strategy and g."""
+def _variant(strategy, g, mode: str):
+    """A variant's key in ``World.sailed``; objective mode drops strategy and g."""
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
     if mode == OBJECTIVE:
-        return world, mode, None, None
+        return mode, None, None
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}")
     if g is None or g < 0:
         raise InputError("dialogue modes need a non-negative budget")
-    return world, mode, strategy, g
+    return mode, strategy, g
 
 
 def _rule(world: World, mode: str, strategy, g):
@@ -313,60 +319,48 @@ def _course(rulings) -> tuple:
     return tuple((r.winner, r.loser, r.r_act, r.yielding) for r in rulings)
 
 
-# (world, mode, strategy, g) -> (rulings, outcome) for each variant that
-# sail_variants has stepped; run_boat_trial serves those from here
-_TRIAL_TABLE = {}
-
-
-@contextlib.contextmanager
-def sail_variants(world: World, variants):
+def sail_variants(world: World, variants) -> World:
     """Rule ``(strategy, g, mode)`` variants and step their courses together.
 
     Each distinct course among the variants is sailed once, all of them in
-    one lockstep batch.  Inside the block :func:`run_boat_trial` serves
-    these variants from the trial table, without ruling or sailing them
-    again; the table is emptied on exit.  A course whose state turned
-    non-finite is not stored, so its variants sail alone and raise there.
+    one lockstep batch.  Returns a copy of ``world`` whose ``sailed`` table
+    holds each variant's rulings and outcome, a ``SimulationFault`` for a
+    course whose state turned non-finite; :func:`run_boat_trial` serves the
+    variants from it without ruling or sailing them again.
     """
     ruled = {}
     for strategy, g, mode in variants:
-        key = _variant(world, strategy, g, mode)
+        key = _variant(strategy, g, mode)
         if key not in ruled:
-            rulings = _rule(*key)
+            rulings = _rule(world, *key)
             ruled[key] = rulings, _course(rulings)
     courses = list(dict.fromkeys(course for _, course in ruled.values()))
     outcomes = dict(zip(courses, _sail(world, courses)))
-    try:
-        for key, (rulings, course) in ruled.items():
-            if not isinstance(outcomes[course], SimulationFault):
-                _TRIAL_TABLE[key] = rulings, outcomes[course]
-        yield
-    finally:
-        _TRIAL_TABLE.clear()
+    return replace(world, sailed={
+        key: (rulings, outcomes[course])
+        for key, (rulings, course) in ruled.items()
+    })
 
 
 def run_boat_trial(world: World, strategy, g, mode: str) -> BoatTrialResult:
     """Simulate one full crossing and return per-agent histories.
 
-    Every pair is ruled before the first tick.  A variant stepped by
-    :func:`sail_variants` is served from the trial table; any other is
-    ruled here and sailed alone, as a batch of one.  Variants with the same
-    course share their read-only trajectories.
+    Every pair is ruled before the first tick.  A variant that ``world``
+    carries from :func:`sail_variants` is served from its table; any other
+    is sailed here, as a batch of one.  Variants with the same course share
+    their read-only trajectories.
     """
-    key = _variant(world, strategy, g, mode)
-    entry = _TRIAL_TABLE.get(key)
-    if entry is None:
-        rulings = _rule(*key)
-        (outcome,) = _sail(world, [_course(rulings)])
-    else:
-        rulings, outcome = entry
+    key = _variant(strategy, g, mode)
+    if key not in world.sailed:
+        world = sail_variants(world, [(strategy, g, mode)])
+    rulings, outcome = world.sailed[key]
     if isinstance(outcome, SimulationFault):
         raise SimulationFault(f"{outcome} (seed {world.seed}, mode {mode})")
     trajectories, series, arrival, times = outcome
     return BoatTrialResult(
         mode=mode,
-        strategy=key[2],
-        g=key[3],
+        strategy=key[1],
+        g=key[2],
         trajectories=trajectories,
         telemetry=_telemetry(series, trajectories[0].ts, arrival,
                              world.config.tick),
@@ -420,11 +414,14 @@ def _sail(world: World, courses) -> list:
     courses whose field or reflex acts, because adding another course's
     +-0 force would turn a -0.0 demand into +0.0.
 
-    A course retires, and its row leaves the batch, on the tick after its
-    last boat arrives or once its state is found non-finite; the others
-    run on unchanged.  Every tick is recorded into one tick-major
-    ``(max_ticks, V, 5, n)`` buffer, and each course's series is a read-only
-    transposed view of it, so the results of a batch share that buffer.
+    The batch is fixed: every course keeps its row until the loop ends, at
+    the tick cap or once each course has arrived or been found non-finite.
+    An arrived course idles with every boat moored, so it meets no one,
+    feels no field and does not move.  Every tick is recorded into one
+    tick-major ``(max_ticks, V, 5, n)`` buffer.  A course's series is a
+    read-only transposed view of its first ``T = min(last arrival tick + 1,
+    max_ticks)`` ticks, or of all ``max_ticks`` if a boat never arrived, so
+    the results of a batch share that buffer.
     """
     cfg = world.config
     n = cfg.n_agents
@@ -446,8 +443,14 @@ def _sail(world: World, courses) -> list:
     state, to_goal, goal_dist = (
         np.repeat(a[None], V, axis=0) for a in (start, to_goal, goal_dist)
     )
-    rec = np.empty((max_ticks, V, 5, n))
-    rows = np.arange(V)  # the course of each batch row
+    try:
+        rec = np.empty((max_ticks, V, 5, n))
+    except MemoryError:
+        raise CapacityError(
+            f"recording {V} courses of {n} boats over {max_ticks} ticks needs"
+            f" {max_ticks * V * 5 * n * 8 / 2**30:.2f} GiB, more than this"
+            f" host could allocate"
+        ) from None
     arrived = np.zeros((V, n), dtype=bool)
     moored = np.zeros((V, n, n), dtype=bool)  # pairs with a moored boat
     throttle = np.ones((V, n))
@@ -462,7 +465,7 @@ def _sail(world: World, courses) -> list:
     ruled = np.array(courses, dtype=float)  # (V, pairs, 4)
     winner, loser = ruled[:, :, :2].astype(int).transpose(2, 0, 1)
     r_act, yielding = ruled[:, :, 2], ruled[:, :, 3]
-    v = rows[:, None]
+    v = np.arange(V)[:, None]
     r_on = np.zeros((V, n, n))
     r_on[v, first, second] = r_on[v, second, first] = r_act
     beats = np.zeros((V, n, n), dtype=bool)
@@ -477,66 +480,25 @@ def _sail(world: World, courses) -> list:
     avoid_perm = np.zeros((V, n, n))
     yields = np.zeros(V, dtype=bool)  # whether a course's avoid_perm holds any pair
     eps = 1e-9
-    outcomes = [None] * V
-    drop = None  # rows that retire at the top of the next tick
-    resized = True  # the batch rows changed: rebind views and work arrays
+    done = np.zeros(V, dtype=bool)  # every boat arrived, or state non-finite
+    ended = False  # every course is done
+    fault_tick = np.full(V, -1)  # tick whose check found a course non-finite
 
-    def finish(r, T):
-        """The outcome of batch row ``r`` over its first ``T`` ticks."""
-        series = rec[:T, rows[r]].transpose(1, 2, 0)  # (5, n, T), no copy
-        series.setflags(write=False)  # shared by every variant with this course
-        x_s, y_s, heading_s, speed_s, _ = series
-        if not (np.isfinite(x_s).all() and np.isfinite(y_s).all()):
-            return SimulationFault("non-finite trajectory")
-        ts = np.arange(T) * dt
-        ts.setflags(write=False)  # shared by every agent's series
-        trajectories = tuple(
-            Trajectory(ts=ts, xs=x_s[i], ys=y_s[i], headings=heading_s[i],
-                       speeds=speed_s[i])
-            for i in range(n)
-        )
-        arrival = tuple(int(t) if t >= 0 else T for t in arrival_tick[r])
-        met_r, on_r, met_tick_r, on_tick_r = met[r], on[r], met_tick[r], on_tick[r]
-        times = tuple(
-            (k, int(met_tick_r[i, j]) * dt,
-             int(on_tick_r[i, j]) * dt if on_r[i, j] else None)
-            for k, (i, j) in enumerate(pairs) if met_r[i, j]
-        )
-        return trajectories, series, arrival, times
+    pos = state[:, :2]
+    xs, ys, headings, speeds, yaw_rates = state.swapaxes(0, 1)
+    # [course, component, agent, other]: agent - other
+    delta = np.empty((V, 2, n, n))
+    d = np.empty((V, n, n))
+    d_diag = d.reshape(V, -1)[:, ::n + 1]
+    far = np.empty_like(was_far)
+    entered = np.empty_like(was_far)
+    n_waiting = n_on = 0
+    any_yields = any_arrived = False
 
     for tick in range(max_ticks):
-        rec[tick, rows] = state
-        if drop is not None:
-            for r in np.flatnonzero(drop):
-                if outcomes[rows[r]] is None:
-                    outcomes[rows[r]] = finish(r, tick + 1)
-            if drop.all():
-                break
-            keep = ~drop
-            (rows, state, to_goal, goal_dist, arrived, moored, throttle,
-             arrival_tick, was_far, r_on, beats, yields_to, met, waiting, on,
-             armed, met_tick, on_tick, avoid_perm, yields) = (
-                a[keep] for a in (
-                    rows, state, to_goal, goal_dist, arrived, moored, throttle,
-                    arrival_tick, was_far, r_on, beats, yields_to, met, waiting,
-                    on, armed, met_tick, on_tick, avoid_perm, yields)
-            )
-            drop = None
-            resized = True
-        if resized:
-            resized = False
-            pos = state[:, :2]
-            xs, ys, headings, speeds, yaw_rates = state.swapaxes(0, 1)
-            # [course, component, agent, other]: agent - other
-            delta = np.empty((len(rows), 2, n, n))
-            d = np.empty((len(rows), n, n))
-            d_diag = d.reshape(len(rows), -1)[:, ::n + 1]
-            far = np.empty_like(was_far)
-            entered = np.empty_like(was_far)
-            n_waiting = np.count_nonzero(waiting)
-            n_on = np.count_nonzero(on)
-            any_yields = bool(yields.any())
-            any_arrived = bool(arrived.any())
+        rec[tick] = state
+        if ended:
+            break
 
         np.subtract(pos[:, :, :, None], pos[:, :, None, :], out=delta)
         np.hypot(delta[:, 0], delta[:, 1], out=d)
@@ -547,7 +509,7 @@ def _sail(world: World, courses) -> list:
 
         # A pair enters sensor range when it was beyond r_max last tick and
         # is not now.  (A NaN distance reads as in range here, but a NaN
-        # state always retires its course with a SimulationFault.)
+        # state always ends its course with a SimulationFault.)
         np.greater(d, cfg.r_max, out=far)
         np.greater(was_far, far, out=entered)
         was_far, far = far, was_far
@@ -624,20 +586,42 @@ def _sail(world: World, courses) -> list:
             speeds[newly] = 0.0
             yaw_rates[newly] = 0.0
             throttle[newly] = 0.0
-            done = arrived.all(axis=1)
-            if done.any():
-                drop = done
+            done |= arrived.all(axis=1)
+            ended = bool(done.all())
 
         if tick % _FINITE_CHECK_EVERY == 0:
-            bad = ~np.isfinite(pos).all(axis=(1, 2))
+            bad = ~np.isfinite(pos).all(axis=(1, 2)) & ~done
             if bad.any():
-                for r in np.flatnonzero(bad):
-                    outcomes[rows[r]] = SimulationFault(
-                        f"non-finite state at t={tick * dt:.2f}s"
-                    )
-                drop = bad if drop is None else drop | bad
+                fault_tick[bad] = tick
+                done |= bad
+                ended = bool(done.all())
 
-    for r, course in enumerate(rows):
-        if outcomes[course] is None:
-            outcomes[course] = finish(r, max_ticks)
+    outcomes = []
+    for v in range(V):
+        if fault_tick[v] >= 0:
+            outcomes.append(SimulationFault(
+                f"non-finite state at t={int(fault_tick[v]) * dt:.2f}s"))
+            continue
+        T = (min(int(arrival_tick[v].max()) + 1, max_ticks)
+             if arrived[v].all() else max_ticks)
+        series = rec[:T, v].transpose(1, 2, 0)  # (5, n, T), no copy
+        series.setflags(write=False)  # shared by every variant with this course
+        x_s, y_s, heading_s, speed_s, _ = series
+        if not (np.isfinite(x_s).all() and np.isfinite(y_s).all()):
+            outcomes.append(SimulationFault("non-finite trajectory"))
+            continue
+        ts = np.arange(T) * dt
+        ts.setflags(write=False)  # shared by every agent's series
+        trajectories = tuple(
+            Trajectory(ts=ts, xs=x_s[i], ys=y_s[i], headings=heading_s[i],
+                       speeds=speed_s[i])
+            for i in range(n)
+        )
+        arrival = tuple(int(t) if t >= 0 else T for t in arrival_tick[v])
+        times = tuple(
+            (k, int(met_tick[v, i, j]) * dt,
+             int(on_tick[v, i, j]) * dt if on[v, i, j] else None)
+            for k, (i, j) in enumerate(pairs) if met[v, i, j]
+        )
+        outcomes.append((trajectories, series, arrival, times))
     return outcomes

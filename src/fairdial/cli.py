@@ -221,18 +221,22 @@ def _execute_boats(config: dict, out_dir: Path):
         (strategy, budget, mode)
         for strategy in (strategies if mode != OBJECTIVE else (None,))
     ]
+    log_trajectories = config.get("log_trajectories")
     rows = []
-    results = []
+    results = []  # kept only for the trajectory log
     for trial in range(config["trials"]):
-        world = init_parade(derive_seed(config["seed"], "world", trial), world_cfg)
-        with sail_variants(world, variants):
-            for strategy, g, _ in variants:
-                res = run_boat_trial(world, strategy, g, mode)
+        world = sail_variants(
+            init_parade(derive_seed(config["seed"], "world", trial), world_cfg),
+            variants)
+        for strategy, g, _ in variants:
+            res = run_boat_trial(world, strategy, g, mode)
+            rows.append((trial, strategy, mode, res.encounters))
+            if log_trajectories:
                 results.append((trial, res))
-                rows.append((trial, strategy, mode, res.encounters))
+        del world, res  # the trial's recording buffer goes before the next
     write_boat_encounters_csv(rows, out_dir / "boats_encounters.csv")
     outputs.append("boats_encounters.csv")
-    if config.get("log_trajectories"):
+    if log_trajectories:
         write_trajectory_csv(results, out_dir / "trajectories.csv")
         outputs.append("trajectories.csv")
     return outputs

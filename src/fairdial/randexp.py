@@ -50,7 +50,6 @@ class TrialConfig:
     budget_grid: tuple = DEFAULT_BUDGET_GRID
     strategies: tuple = STRATEGIES
     seed: int = 0
-    include_unrestricted: bool = True
 
     def __post_init__(self):
         if self.n_agents < 2:
@@ -69,7 +68,7 @@ class TrialConfig:
     @property
     def budgets(self) -> tuple:
         """Budgets every trial plays: the grid, then None (unrestricted)."""
-        return self.budget_grid + ((None,) if self.include_unrestricted else ())
+        return self.budget_grid + (None,)
 
 
 @dataclass(frozen=True)

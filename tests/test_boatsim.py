@@ -1,9 +1,10 @@
 """Boat dynamics, parade setup, encounters and the trial harness."""
 
-import contextlib
 import dataclasses
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -416,13 +417,12 @@ def batches(monkeypatch):
 def test_shared_simulations_match_the_golden_digest(order, batches):
     world = init_parade(3, GOLDEN_WORLD)
     variants = HARNESS_ORDER[::-1] if order == "reversed" else HARNESS_ORDER
-    table = (contextlib.nullcontext() if order == "uncached"
-             else sail_variants(world, _triples(variants)))
-    with table:
-        results = {
-            (mode, strategy): run_boat_trial(world, strategy, g, mode)
-            for mode, strategy, g in variants
-        }
+    if order != "uncached":
+        world = sail_variants(world, _triples(variants))
+    results = {
+        (mode, strategy): run_boat_trial(world, strategy, g, mode)
+        for mode, strategy, g in variants
+    }
     # the golden world's 9 variants have 6 distinct courses
     assert batches == ([1] * 9 if order == "uncached" else [6])
     digest_order = [("objective", None)] + [
@@ -440,8 +440,8 @@ def test_consecutive_variants_match_fresh_runs(batches):
     variants = [("objective", None, None), ("nominal", "min_cost", 0),
                 ("nominal", "offensive", 30), ("nominal", "offensive", 40),
                 ("nominal", "min_cost", 30), ("subjective", "min_cost", 30)]
-    with sail_variants(world, _triples(variants)):
-        in_a_row = [run_boat_trial(world, s, g, mode) for mode, s, g in variants]
+    sailed = sail_variants(world, _triples(variants))
+    in_a_row = [run_boat_trial(sailed, s, g, mode) for mode, s, g in variants]
     assert batches == [len(variants)]
     for res, (mode, s, g) in zip(in_a_row, variants):
         fresh = run_boat_trial(world, s, g, mode)
@@ -455,28 +455,32 @@ def test_default_trial_sails_six_courses(batches, monkeypatch):
     cfg = BoatExperimentConfig(g=30, n_trials=1,
                                world=WorldConfig(max_time=2.0))
     served = []
+    worlds = []
     trial = harness_module.run_boat_trial
 
     def spy(world, strategy, g, mode):
-        key = world_module._variant(world, strategy, g, mode)
-        served.append(key in world_module._TRIAL_TABLE)
+        served.append(world_module._variant(strategy, g, mode) in world.sailed)
+        if not worlds or worlds[-1]() is not world:
+            worlds.append(weakref.ref(world))
         return trial(world, strategy, g, mode)
 
     monkeypatch.setattr(harness_module, "run_boat_trial", spy)
     _run_one_trial((cfg, 0))
     assert batches == [6]  # one batch of 6 courses
     assert served == [True] * 9  # every variant came from the table
-    assert not world_module._TRIAL_TABLE
+    assert len(worlds) == 1  # all 9 calls were served by one sailed world
+    gc.collect()
+    assert worlds[0]() is None  # and no sailed world outlives its trial
 
 
 def test_shared_results_are_read_only(batches):
-    world = init_parade(7, TINY_WORLD)
-    with sail_variants(world, [("offensive", 30, "nominal"),
-                               ("offensive", 30, "subjective"),
-                               (None, None, "objective")]):
-        nominal = run_boat_trial(world, "offensive", 30, "nominal")
-        subjective = run_boat_trial(world, "offensive", 30, "subjective")
-        objective = run_boat_trial(world, None, None, "objective")
+    world = sail_variants(init_parade(7, TINY_WORLD),
+                          [("offensive", 30, "nominal"),
+                           ("offensive", 30, "subjective"),
+                           (None, None, "objective")])
+    nominal = run_boat_trial(world, "offensive", 30, "nominal")
+    subjective = run_boat_trial(world, "offensive", 30, "subjective")
+    objective = run_boat_trial(world, None, None, "objective")
     assert batches == [2]
     assert subjective.trajectories[0].xs is nominal.trajectories[0].xs
     # the courses of a batch are views of one recording buffer
@@ -501,18 +505,20 @@ def test_simulation_fault_names_each_variant(monkeypatch, batches):
         xs[0] = np.nan
 
     monkeypatch.setattr(world_module, "step_arrays", poisoned)
-    world = init_parade(7, TINY_WORLD)
-    # nominal and subjective offensive share a course; a faulted course is
-    # not stored, so each variant sails (and fails) again on its own
-    with sail_variants(world, [("offensive", 30, "nominal"),
-                               ("offensive", 30, "subjective")]):
-        assert not world_module._TRIAL_TABLE
-        for mode in ("nominal", "subjective"):
-            with pytest.raises(SimulationFault) as info:
-                run_boat_trial(world, "offensive", 30, mode)
-            assert str(info.value) == (
-                f"non-finite state at t=0.00s (seed 7, mode {mode})")
-    assert batches == [1, 1, 1]
+    # nominal and subjective offensive share a course; its fault is stored
+    # once, and each variant raises it naming its own mode
+    world = sail_variants(init_parade(7, TINY_WORLD),
+                          [("offensive", 30, "nominal"),
+                           ("offensive", 30, "subjective")])
+    faults = [outcome for _, outcome in world.sailed.values()]
+    assert len(faults) == 2 and faults[0] is faults[1]
+    assert isinstance(faults[0], SimulationFault)
+    for mode in ("nominal", "subjective"):
+        with pytest.raises(SimulationFault) as info:
+            run_boat_trial(world, "offensive", 30, mode)
+        assert str(info.value) == (
+            f"non-finite state at t=0.00s (seed 7, mode {mode})")
+    assert batches == [1]  # one batch of one course, and no re-sail
 
 
 def _no_boat_arrives(results):
@@ -522,12 +528,27 @@ def _no_boat_arrives(results):
 
 def _courses_retire_apart(results):
     # every boat arrives, and each distinct course (results of one course
-    # share their arrays) leaves the batch at a tick of its own
+    # share their arrays) ends at a tick of its own
     courses = {id(res.trajectories[0].xs): res for res in results}
     ticks = {len(res.trajectories[0]) for res in courses.values()}
     arrived = all(te.arrival_index < len(te.ts)
                   for res in results for te in res.telemetry)
     return arrived and len(ticks) == len(courses) > 1
+
+
+def _a_course_ends_on_the_final_tick(results):
+    # The golden world capped at 4,230 ticks: the nominal random course's
+    # last boat arrives in the final step, which no recorded tick follows,
+    # so that course, like the two that never arrive, runs all 4,230 ticks;
+    # three courses end before the cap.
+    courses = {id(res.trajectories[0].xs): res for res in results}
+    ticks = sorted(len(res.trajectories[0]) for res in courses.values())
+    final = next(res for res in results
+                 if res.mode == "nominal" and res.strategy == "random")
+    return (ticks[:3] < [4230] * 3 and ticks[3:] == [4230] * 3
+            and all(len(tr.xs) == len(tr.ts) == 4230
+                    for tr in final.trajectories)
+            and max(te.arrival_index for te in final.telemetry) == 4230)
 
 
 LOCKSTEP_WORLDS = {
@@ -542,6 +563,11 @@ LOCKSTEP_WORLDS = {
         HARNESS_ORDER,
         _no_boat_arrives,
     ),
+    "final_tick": (
+        init_parade(3, dataclasses.replace(GOLDEN_WORLD, max_time=211.45)),
+        HARNESS_ORDER,
+        _a_course_ends_on_the_final_tick,
+    ),
     # no goal pull: every heading demand is a signed zero until a field
     # acts, so a course must not take another course's force
     "goal_weight_0": (
@@ -555,8 +581,8 @@ LOCKSTEP_WORLDS = {
 @pytest.mark.parametrize("name", sorted(LOCKSTEP_WORLDS))
 def test_lockstep_matches_each_course_alone(name, batches):
     world, variants, shape = LOCKSTEP_WORLDS[name]
-    with sail_variants(world, _triples(variants)):
-        batched = [run_boat_trial(world, s, g, mode) for mode, s, g in variants]
+    sailed = sail_variants(world, _triples(variants))
+    batched = [run_boat_trial(sailed, s, g, mode) for mode, s, g in variants]
     assert len(batches) == 1 and batches[0] > 1
     alone = [run_boat_trial(world, s, g, mode) for mode, s, g in variants]
     assert len(batches) == 1 + len(variants)
@@ -571,7 +597,7 @@ def test_poisoned_course_leaves_the_others_bit_identical(monkeypatch, batches):
     alone = {v: _variant_digest([run_boat_trial(world, *v)]) for v in variants}
     courses = {
         v: world_module._course(
-            world_module._rule(*world_module._variant(world, *v)))
+            world_module._rule(world, *world_module._variant(*v)))
         for v in variants
     }
     step = world_module.step_arrays
@@ -585,19 +611,20 @@ def test_poisoned_course_leaves_the_others_bit_identical(monkeypatch, batches):
 
     monkeypatch.setattr(world_module, "step_arrays", poisoned)
     del batches[:]
-    with sail_variants(world, variants):
-        assert batches == [6]
-        second = list(dict.fromkeys(courses.values()))[1]
-        faulted = [v for v in variants if courses[v] == second]
-        stored = {key[1:] for key in world_module._TRIAL_TABLE}
-        assert faulted and stored == {
-            world_module._variant(world, *v)[1:]
-            for v in variants if v not in faulted
-        }
-        for v in variants:
-            # the faulted course's variants sail again alone, unpoisoned now
-            assert _variant_digest([run_boat_trial(world, *v)]) == alone[v]
-    assert batches == [6] + [1] * len(faulted)
+    sailed = sail_variants(world, variants)
+    assert batches == [6]
+    second = list(dict.fromkeys(courses.values()))[1]
+    faulted = [v for v in variants if courses[v] == second]
+    assert faulted
+    for v in variants:
+        if v in faulted:
+            with pytest.raises(SimulationFault) as info:
+                run_boat_trial(sailed, *v)
+            assert str(info.value) == (
+                f"non-finite state at t=0.00s (seed 3, mode {v[2]})")
+        else:
+            assert _variant_digest([run_boat_trial(sailed, *v)]) == alone[v]
+    assert batches == [6]  # every variant, faulted or not, came from the batch
 
 
 def test_run_boat_trial_validation():
@@ -721,11 +748,22 @@ def test_literal_gap_reuses_the_nominal_subjective_comparison():
 
 # ----------------------------------------------------------------- harness
 
-def test_boat_experiment_tiny_run(tmp_path):
+def test_boat_experiment_tiny_run(tmp_path, monkeypatch):
     cfg = BoatExperimentConfig(
         seed=1, strategies=("min_cost",), g=30, n_trials=2, world=TINY_WORLD)
+    worlds = []
+    sail = harness_module.sail_variants
+
+    def kept(world, variants):
+        sailed = sail(world, variants)
+        worlds.append(weakref.ref(sailed))
+        return sailed
+
+    monkeypatch.setattr(harness_module, "sail_variants", kept)
     summaries = run_boat_experiment(cfg)
-    assert not world_module._TRIAL_TABLE  # no world outlives the run
+    gc.collect()
+    assert len(worlds) == 2  # one sailed world per trial
+    assert all(w() is None for w in worlds)  # no world outlives the run
     assert len(summaries) == 2
     for s in summaries:
         assert s.strategy == "min_cost"

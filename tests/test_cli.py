@@ -1,11 +1,16 @@
 """End-to-end command-line behaviour, manifests and reruns."""
 
 import csv
+import gc
+import hashlib
 import json
+import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +19,9 @@ from fairdial.cli import main
 from fairdial.errors import InputError
 from fairdial.fairness import dispute_records
 from fairdial.randexp import TrialConfig, _population, trial_seeds
+from test_boatsim import GOLDEN_WORLD
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -381,6 +389,102 @@ def test_boats_simulation_fault_is_exit_3_and_publishes_nothing(
     assert not out.exists()
 
 
+# sha256 of the CSVs of two quick runs on the 6-boat GOLDEN_WORLD (seed 11,
+# g=30), whose outputs were checked by hand; a rework of the boat loop,
+# its batching or the CLI's trial loop must reproduce them byte for byte
+GOLDEN_RUNS = {
+    ("--mode", "all", "--trials", "1"): {
+        "boats_summary.csv":
+            "da89665bb6e568f45176865f5d2a539d84c29acee37818e1778cdf042fde49dd",
+        "boats_encounters.csv":
+            "7243e692ac1f226ab3e4c4b31bdaab61a2a65172a856b1eb506fd9195b87bada",
+    },
+    ("--mode", "nominal", "--strategy", "all", "--trials", "1",
+     "--log-trajectories"): {
+        "boats_encounters.csv":
+            "17c12c418ead86e1b7182bdee870aaed46deac5123df8f120983514209a00c34",
+        "trajectories.csv":
+            "2eac12588ea692aa78d60710d5351e664e48ee5892e3c52a30276308a167a17e",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_RUNS), ids=["all", "nominal"])
+def test_boats_outputs_match_pinned_digests(capsys, tmp_path, argv):
+    doc = {"arena_length": 6000.0, "n_agents": 6, "max_time": 600.0}
+    assert cli._world_config_from(doc) == GOLDEN_WORLD
+    config = tmp_path / "world.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "run"
+    code, _, _ = run_cli(capsys, "boats", "--config", str(config),
+                         "--seed", "11", *argv, "--out", str(out))
+    assert code == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in GOLDEN_RUNS[argv]}
+    assert digests == GOLDEN_RUNS[argv]
+
+
+def test_single_mode_boats_frees_each_trial(capsys, tmp_path, monkeypatch):
+    # Without --log-trajectories no result, and so no recording buffer,
+    # outlives its trial: each trial's are gone before the next one sails.
+    results, worlds, alive = [], [], []
+    sail, trial = cli.sail_variants, cli.run_boat_trial
+
+    def sailed(world, variants):
+        gc.collect()
+        alive.append(sum(r() is not None for r in results + worlds))
+        world = sail(world, variants)
+        worlds.append(weakref.ref(world))
+        return world
+
+    def served(world, strategy, g, mode):
+        res = trial(world, strategy, g, mode)
+        results.append(weakref.ref(res))
+        return res
+
+    monkeypatch.setattr(cli, "sail_variants", sailed)
+    monkeypatch.setattr(cli, "run_boat_trial", served)
+    override = tmp_path / "world.json"
+    override.write_text(json.dumps({
+        "arena_length": 3000.0, "n_agents": 2, "max_time": 300.0,
+    }), encoding="utf-8")
+    code, _, _ = run_cli(
+        capsys, "boats", "--mode", "nominal", "--strategy", "all",
+        "--trials", "2", "--seed", "7", "--config", str(override),
+        "--out", str(tmp_path / "run"))
+    assert code == 0
+    gc.collect()
+    assert len(results) == 8 and len(worlds) == 2
+    assert alive == [0, 0]
+    assert all(r() is None for r in results + worlds)
+
+
+def test_boats_buffer_too_large_is_exit_1(capsys, tmp_path, monkeypatch):
+    import numpy as np
+
+    empty = np.empty
+
+    def refuse(shape, *args, **kwargs):
+        if isinstance(shape, tuple) and len(shape) == 4:  # the recording buffer
+            raise MemoryError("Unable to allocate")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refuse)
+    override = tmp_path / "world.json"
+    override.write_text(json.dumps({"n_agents": 128, "max_time": 10000.0}),
+                        encoding="utf-8")
+    out = tmp_path / "boatrun"
+    code, _, err = run_cli(
+        capsys, "boats", "--strategy", "min_cost", "--mode", "nominal",
+        "--trials", "1", "--seed", "7", "--config", str(override),
+        "--out", str(out))
+    assert code == 1
+    assert err == ("fairdial: recording 1 courses of 128 boats over 200001"
+                   " ticks needs 0.95 GiB, more than this host could"
+                   " allocate\n")
+    assert not out.exists()
+
+
 def test_boats_rejects_unknown_world_key(capsys, tmp_path):
     override = tmp_path / "world.json"
     override.write_text(json.dumps({"arena_len": 100}), encoding="utf-8")
@@ -419,9 +523,13 @@ def test_seed_falls_back_to_environment(capsys, tmp_path, monkeypatch):
 
 
 def test_installed_entry_point_runs():
+    # the package need not be installed: run it from the source tree
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "fairdial.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()
