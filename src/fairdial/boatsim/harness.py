@@ -164,7 +164,7 @@ def write_boat_encounters_csv(rows, path):
 
 
 def write_trajectory_csv(results, path, stride: int = DEFAULT_STRIDE):
-    """Decimated per-tick state for a list of (trial, BoatTrialResult)."""
+    """Decimated per-tick state of (trial, BoatTrialResult)s, each as it comes."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRAJECTORY_COLUMNS)
@@ -187,3 +187,4 @@ def write_trajectory_csv(results, path, stride: int = DEFAULT_STRIDE):
                             fmt_num(tel.lat_jerk[k]),
                         ]
                     )
+            del res, traj, tel  # hold no written result while the next is made

@@ -41,54 +41,12 @@ class PhysicsParams:
         return self.drag * self.top_speed**2
 
 
-@dataclass(frozen=True)
-class BoatState:
-    x: float
-    y: float
-    heading: float  # radians, mathematical convention
-    speed: float  # m/s, along heading
-    yaw_rate: float  # rad/s
-    t: float  # s
-
-
-def wrap_angle(a):
-    """Wrap angles to (-pi, pi]."""
-    return math.pi - (math.pi - a) % (2.0 * math.pi)
-
-
-def step_physics(state: BoatState, controls, params: PhysicsParams,
-                 dt: float) -> BoatState:
-    """Advance one boat by ``dt`` under (throttle, yaw_command) controls.
-
-    Throttle is the fraction of maximum thrust in [0, 1]; the yaw command
-    is a desired yaw rate which the hull approaches with a first-order lag,
-    clipped to the rate limit.
-    """
-    if dt <= 0:
-        raise InputError("dt must be positive")
-    throttle, yaw_cmd = controls
-    if not 0.0 <= throttle <= 1.0:
-        raise InputError("throttle must lie in [0, 1]")
-    thrust = throttle * params.thrust_max
-    accel = (thrust - params.drag * state.speed**2) / params.mass
-    speed = min(max(state.speed + accel * dt, 0.0), params.top_speed)
-    cmd = min(max(yaw_cmd, -params.yaw_rate_max), params.yaw_rate_max)
-    yaw_rate = state.yaw_rate + (cmd - state.yaw_rate) * dt / params.yaw_tau
-    yaw_rate = min(max(yaw_rate, -params.yaw_rate_max), params.yaw_rate_max)
-    heading = wrap_angle(state.heading + yaw_rate * dt)
-    return BoatState(
-        x=state.x + speed * math.cos(heading) * dt,
-        y=state.y + speed * math.sin(heading) * dt,
-        heading=heading,
-        speed=speed,
-        yaw_rate=yaw_rate,
-        t=state.t + dt,
-    )
-
-
 def step_arrays(xs, ys, headings, speeds, yaw_rates, throttle, yaw_cmd,
                 params: PhysicsParams, dt: float):
-    """Vectorised :func:`step_physics` over agent arrays, updated in place.
+    """Advance each boat by ``dt`` under (throttle, yaw_cmd), in place.
+
+    Throttle is a fraction of maximum thrust; the hull approaches the yaw
+    command, a yaw rate, with a first-order lag under the rate limit.
 
     ``np.minimum(hi, np.maximum(lo, a))`` is ``np.clip(a, lo, hi)`` bit for
     bit, signed zeros included (both return ``a`` on a tie), at a fraction

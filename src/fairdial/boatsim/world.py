@@ -37,9 +37,9 @@ from ..culture import (
     expand,
     sample_boat_agent,
 )
-from ..dialogue import BUDGET_FORCED, STRATEGIES, run_dispute
+from ..dialogue import BUDGET_FORCED, STRATEGIES
 from ..errors import CapacityError, InputError, SimulationFault
-from ..fairness import objective_outcome
+from ..fairness import budget_records, objective_outcome
 from .physics import PhysicsParams, is_finite_real, step_arrays
 
 WEST = "west"
@@ -248,50 +248,6 @@ def _orient_pair(agents, i, j):
     return (i, j) if i < j else (j, i)
 
 
-def resolve_encounter(world: World, i: int, j: int, strategy, g, mode: str,
-                      xc) -> Encounter:
-    """Settle right of way for a pair, whenever it comes into sensor range.
-
-    The ruling does not depend on when the pair meets: the referee is
-    deterministic and a random dialogue is seeded by (world seed, pair,
-    strategy, g).  ``t_trigger`` is left None; the tick loop stamps it.
-    """
-    cfg = world.config
-    pr_agent, op_agent = _orient_pair(world.agents, i, j)
-    d_pr = world.agents[pr_agent].description
-    d_op = world.agents[op_agent].description
-    if mode == OBJECTIVE:
-        winner_role = objective_outcome(d_pr, d_op, xc)
-        z = 0
-        termination = "objective"
-    else:
-        rng = None
-        if strategy == "random":
-            rng = random.Random(
-                derive_seed(world.seed, "dlg", pr_agent, op_agent, strategy, g)
-            )
-        res = run_dispute(d_pr, d_op, xc, strategy, g, rng=rng)
-        winner_role = res.winner
-        z = res.spent[PR] + res.spent[OP]
-        termination = res.termination
-    winner = pr_agent if winner_role == PR else op_agent
-    loser = op_agent if winner_role == PR else pr_agent
-    yielding = not (mode == SUBJECTIVE and termination == BUDGET_FORCED)
-    return Encounter(
-        first=min(i, j),
-        second=max(i, j),
-        pr_agent=pr_agent,
-        op_agent=op_agent,
-        winner=winner,
-        loser=loser,
-        termination=termination,
-        z=z,
-        r_act=activation_radius(z, g, cfg.r_max, cfg.r_crit),
-        t_trigger=None,
-        yielding=yielding,
-    )
-
-
 def _variant(strategy, g, mode: str):
     """A variant's key in ``World.sailed``; objective mode drops strategy and g."""
     if mode not in MODES:
@@ -305,13 +261,52 @@ def _variant(strategy, g, mode: str):
     return mode, strategy, g
 
 
-def _rule(world: World, mode: str, strategy, g):
-    """Every pair's ruling, in ``combinations(range(n), 2)`` order."""
+def _rule(world: World, keys) -> dict:
+    """Each variant key's rulings, in ``combinations(range(n), 2)`` order.
+
+    The referee rules objective variants.  The disputes of a dialogue
+    variant are played once per (strategy, g), in each pair's
+    :func:`_orient_pair` orientation, and its nominal and subjective keys
+    share them: they differ only in ``yielding``, since a subjective loser
+    refuses a budget-forced ruling.  No ruling depends on when its pair
+    meets, so ``t_trigger`` is left None for the tick loop to stamp.
+    """
+    cfg = world.config
+    pairs = [_orient_pair(world.agents, i, j)
+             for i, j in combinations(range(cfg.n_agents), 2)]
+    descs = [a.description for a in world.agents]
     xc = expand(builtin_boat_culture())
-    return [
-        resolve_encounter(world, i, j, strategy, g, mode, xc)
-        for i, j in combinations(range(world.config.n_agents), 2)
-    ]
+    played = {}  # (strategy, g) -> each pair's (winner role, z, termination)
+    rulings = {}
+    for mode, strategy, g in keys:
+        if mode == OBJECTIVE:
+            ends = [(objective_outcome(descs[pr], descs[op], xc), 0, "objective")
+                    for pr, op in pairs]
+        else:
+            if (strategy, g) not in played:
+                played[strategy, g] = [
+                    (res.winner, res.spent[PR] + res.spent[OP], res.termination)
+                    for _, _, (res,) in budget_records(
+                        descs, xc, strategy, (g,), world.seed, pairs)
+                ]
+            ends = played[strategy, g]
+        rulings[mode, strategy, g] = [
+            Encounter(
+                first=min(pr, op),
+                second=max(pr, op),
+                pr_agent=pr,
+                op_agent=op,
+                winner=pr if role == PR else op,
+                loser=op if role == PR else pr,
+                termination=termination,
+                z=z,
+                r_act=activation_radius(z, g, cfg.r_max, cfg.r_crit),
+                t_trigger=None,
+                yielding=not (mode == SUBJECTIVE and termination == BUDGET_FORCED),
+            )
+            for (pr, op), (role, z, termination) in zip(pairs, ends)
+        ]
+    return rulings
 
 
 def _course(rulings) -> tuple:
@@ -328,17 +323,12 @@ def sail_variants(world: World, variants) -> World:
     course whose state turned non-finite; :func:`run_boat_trial` serves the
     variants from it without ruling or sailing them again.
     """
-    ruled = {}
-    for strategy, g, mode in variants:
-        key = _variant(strategy, g, mode)
-        if key not in ruled:
-            rulings = _rule(world, *key)
-            ruled[key] = rulings, _course(rulings)
-    courses = list(dict.fromkeys(course for _, course in ruled.values()))
+    ruled = _rule(world, dict.fromkeys(_variant(*v) for v in variants))
+    course = {key: _course(rulings) for key, rulings in ruled.items()}
+    courses = list(dict.fromkeys(course.values()))
     outcomes = dict(zip(courses, _sail(world, courses)))
     return replace(world, sailed={
-        key: (rulings, outcomes[course])
-        for key, (rulings, course) in ruled.items()
+        key: (rulings, outcomes[course[key]]) for key, rulings in ruled.items()
     })
 
 

@@ -21,7 +21,9 @@ import random
 import shutil
 import sys
 import time
+from collections import deque
 from dataclasses import replace
+from itertools import permutations
 from pathlib import Path
 
 from . import __version__
@@ -148,9 +150,9 @@ def _write_transcripts(cfg: TrialConfig, n_trials: int, path: Path):
         for trial, tseed in enumerate(trial_seeds(cfg.seed, n_trials)):
             xc, agents = _population(replace(cfg, seed=tseed))
             for strategy in cfg.strategies:
-                records = list(
-                    budget_records(agents, xc, strategy, cfg.budgets, tseed)
-                )
+                records = list(budget_records(
+                    agents, xc, strategy, cfg.budgets, tseed,
+                    permutations(range(len(agents)), 2)))
                 for i, g in enumerate(cfg.budgets):
                     label = xc.total_cost if g is None else g
                     for j, k, results in records:
@@ -197,7 +199,6 @@ def _execute_boats(config: dict, out_dir: Path):
         else (config["strategy"],)
     )
     mode = config["mode"]
-    outputs = []
     if mode == "all":
         cfg = BoatExperimentConfig(
             seed=config["seed"],
@@ -212,8 +213,7 @@ def _execute_boats(config: dict, out_dir: Path):
         write_boat_encounters_csv(
             encounter_rows(summaries), out_dir / "boats_encounters.csv"
         )
-        outputs += ["boats_summary.csv", "boats_encounters.csv"]
-        return outputs
+        return ["boats_summary.csv", "boats_encounters.csv"]
     # single-mode run: encounters plus (optionally) trajectories; a
     # trial's strategies step their distinct courses as one batch
     budget = None if mode == OBJECTIVE else config["budget"]
@@ -221,24 +221,25 @@ def _execute_boats(config: dict, out_dir: Path):
         (strategy, budget, mode)
         for strategy in (strategies if mode != OBJECTIVE else (None,))
     ]
-    log_trajectories = config.get("log_trajectories")
     rows = []
-    results = []  # kept only for the trajectory log
-    for trial in range(config["trials"]):
-        world = sail_variants(
-            init_parade(derive_seed(config["seed"], "world", trial), world_cfg),
-            variants)
-        for strategy, g, _ in variants:
-            res = run_boat_trial(world, strategy, g, mode)
-            rows.append((trial, strategy, mode, res.encounters))
-            if log_trajectories:
-                results.append((trial, res))
-        del world, res  # the trial's recording buffer goes before the next
-    write_boat_encounters_csv(rows, out_dir / "boats_encounters.csv")
-    outputs.append("boats_encounters.csv")
-    if log_trajectories:
-        write_trajectory_csv(results, out_dir / "trajectories.csv")
+
+    def results():
+        for trial in range(config["trials"]):
+            seed = derive_seed(config["seed"], "world", trial)
+            world = sail_variants(init_parade(seed, world_cfg), variants)
+            for strategy, g, _ in variants:
+                res = run_boat_trial(world, strategy, g, mode)
+                rows.append((trial, strategy, mode, res.encounters))
+                yield trial, res
+            del world, res  # the trial's recording buffer goes before the next
+
+    outputs = ["boats_encounters.csv"]
+    if config.get("log_trajectories"):
+        write_trajectory_csv(results(), out_dir / "trajectories.csv")
         outputs.append("trajectories.csv")
+    else:
+        deque(results(), maxlen=0)  # runs every trial, holding no result
+    write_boat_encounters_csv(rows, out_dir / "boats_encounters.csv")
     return outputs
 
 
@@ -629,7 +630,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_boats.add_argument("--trials", type=_positive_int, default=10)
     p_boats.add_argument("--seed", type=int, default=None)
     p_boats.add_argument("--mode", choices=MODES + ("all",), default="all")
-    p_boats.add_argument("--jobs", type=_positive_int, default=1)
+    p_boats.add_argument("--jobs", type=_positive_int, default=1,
+                         help="worker processes for --mode all; a single-mode"
+                              " run ignores it")
     p_boats.add_argument("--config", help="JSON file overriding world parameters")
     p_boats.add_argument("--log-trajectories", action="store_true")
     p_boats.add_argument("--literal-gap", action="store_true",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from ._util import extend_seed, seed_prefix
 from .af import sceptically_accepted
@@ -68,9 +69,11 @@ def ground_truth_matrix(agents, xc: ExpandedCulture) -> OutcomeMatrix:
 
 
 def budget_records(agents, xc: ExpandedCulture, strategy: str, budgets,
-                   seed: int):
-    """Play every ordered pair at every budget, yielding (pr, op, results).
+                   seed: int, pairs):
+    """Play each ``(pr, op)`` index pair at every budget: (pr, op, results).
 
+    ``pairs`` are the pairs to play, in order: every ordered pair for a
+    population, each pair's oriented ``(pr, op)`` for a boat world.
     ``results[i]`` is the dispute at ``budgets[i]`` (``None`` is
     unrestricted), exactly as a fresh ``run_dispute`` would play it.  The
     random strategy draws from a seed stream per (seed, pair, strategy,
@@ -85,38 +88,35 @@ def budget_records(agents, xc: ExpandedCulture, strategy: str, budgets,
     descending = sorted(range(len(budgets)),
                         key=lambda i: (budgets[i] is not None, -(budgets[i] or 0)))
     motion_cost = xc.costs[xc.motion_node]
-    n = len(agents)
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            pr, op = agents[j], agents[k]
-            true_facts = xc.true_fact_masks(pr, op)
-            results = [None] * len(budgets)
-            if strategy == RANDOM:
-                prefix = seed_prefix(seed, "dlg", j, k, strategy)
-                for i, g in enumerate(budgets):
-                    rng = None
-                    if g is None or g >= motion_cost:
-                        g_key = -1 if g is None else g
-                        rng = random.Random(extend_seed(prefix, g_key))
-                    results[i] = run_dispute(pr, op, xc, strategy, g, rng=rng,
-                                             true_facts=true_facts)
-            else:
-                last = peak = None
-                for i in descending:
-                    g = budgets[i]
-                    if last is None or (g is not None and g < peak):
-                        last = run_dispute(pr, op, xc, strategy, g,
-                                           true_facts=true_facts)
-                        peak = max(last.spent.values())
-                    results[i] = last
-            yield j, k, results
+    for j, k in pairs:
+        pr, op = agents[j], agents[k]
+        true_facts = xc.true_fact_masks(pr, op)
+        results = [None] * len(budgets)
+        if strategy == RANDOM:
+            prefix = seed_prefix(seed, "dlg", j, k, strategy)
+            for i, g in enumerate(budgets):
+                rng = None
+                if g is None or g >= motion_cost:
+                    g_key = -1 if g is None else g
+                    rng = random.Random(extend_seed(prefix, g_key))
+                results[i] = run_dispute(pr, op, xc, strategy, g, rng=rng,
+                                         true_facts=true_facts)
+        else:
+            last = peak = None
+            for i in descending:
+                g = budgets[i]
+                if last is None or (g is not None and g < peak):
+                    last = run_dispute(pr, op, xc, strategy, g,
+                                       true_facts=true_facts)
+                    peak = max(last.spent.values())
+                results[i] = last
+        yield j, k, results
 
 
 def dispute_records(agents, xc: ExpandedCulture, strategy: str, g, seed: int):
     """Run every ordered-pair dispute once at budget ``g``: (pr, op, result)."""
-    for j, k, (res,) in budget_records(agents, xc, strategy, (g,), seed):
+    pairs = permutations(range(len(agents)), 2)
+    for j, k, (res,) in budget_records(agents, xc, strategy, (g,), seed, pairs):
         yield j, k, res
 
 

@@ -14,6 +14,7 @@ import csv
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import permutations
 
 from ._util import derive_seed, fmt_num, parallel_map
 from .culture import FeatureDescription, expand, generate_random_culture
@@ -116,7 +117,8 @@ def run_trial(cfg: TrialConfig):
         winners = [[[None] * n for _ in range(n)] for _ in budgets]
         forced = [0] * len(budgets)
         wrong = [0] * len(budgets)
-        for j, k, results in budget_records(agents, xc, strategy, budgets, cfg.seed):
+        for j, k, results in budget_records(agents, xc, strategy, budgets,
+                                            cfg.seed, permutations(range(n), 2)):
             truth = gt.entries[j][k]
             for b, res in enumerate(results):
                 winners[b][j][k] = res.winner

@@ -9,6 +9,9 @@ none of the tables only the kernel uses (``adv_fact``, ``aff``,
 
 ``frechet_python`` is the plain discrete Fréchet recurrence over
 ``math.hypot`` distances.
+
+``step_physics`` advances one boat of scalar ``BoatState`` at a time, the
+reference for the vectorised ``boatsim.physics.step_arrays``.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ from __future__ import annotations
 import enum
 import math
 import random
+from dataclasses import dataclass
 
 from fairdial._util import iter_bits
+from fairdial.boatsim.physics import PhysicsParams
 from fairdial.culture import FACT, OP, PR, ROLES, ExpandedArgument, FeatureDescription
 from fairdial.dialogue import BUDGET_FORCED, CONVINCED, RANDOM, DialogueResult
 from fairdial.errors import InputError
@@ -216,3 +221,48 @@ def frechet_python(p, q) -> float:
             best = min(prev[j], prev[j - 1], row[j - 1])
             row[j] = best if best > dist[i][j] else dist[i][j]
     return row[m - 1]
+
+
+@dataclass(frozen=True)
+class BoatState:
+    x: float
+    y: float
+    heading: float  # radians, mathematical convention
+    speed: float  # m/s, along heading
+    yaw_rate: float  # rad/s
+    t: float  # s
+
+
+def wrap_angle(a):
+    """Wrap angles to (-pi, pi]."""
+    return math.pi - (math.pi - a) % (2.0 * math.pi)
+
+
+def step_physics(state: BoatState, controls, params: PhysicsParams,
+                 dt: float) -> BoatState:
+    """Advance one boat by ``dt`` under (throttle, yaw_command) controls.
+
+    Throttle is the fraction of maximum thrust in [0, 1]; the yaw command
+    is a desired yaw rate which the hull approaches with a first-order lag,
+    clipped to the rate limit.
+    """
+    if dt <= 0:
+        raise InputError("dt must be positive")
+    throttle, yaw_cmd = controls
+    if not 0.0 <= throttle <= 1.0:
+        raise InputError("throttle must lie in [0, 1]")
+    thrust = throttle * params.thrust_max
+    accel = (thrust - params.drag * state.speed**2) / params.mass
+    speed = min(max(state.speed + accel * dt, 0.0), params.top_speed)
+    cmd = min(max(yaw_cmd, -params.yaw_rate_max), params.yaw_rate_max)
+    yaw_rate = state.yaw_rate + (cmd - state.yaw_rate) * dt / params.yaw_tau
+    yaw_rate = min(max(yaw_rate, -params.yaw_rate_max), params.yaw_rate_max)
+    heading = wrap_angle(state.heading + yaw_rate * dt)
+    return BoatState(
+        x=state.x + speed * math.cos(heading) * dt,
+        y=state.y + speed * math.sin(heading) * dt,
+        heading=heading,
+        speed=speed,
+        yaw_rate=yaw_rate,
+        t=state.t + dt,
+    )

@@ -4,11 +4,17 @@ import dataclasses
 import gc
 import hashlib
 import math
+import random
 import weakref
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+import fairdial
+from fairdial import boatsim
+from fairdial import fairness as fairness_module
+from fairdial._util import derive_seed
 from fairdial.boatsim import harness as harness_module
 from fairdial.boatsim import world as world_module
 from fairdial.boatsim.harness import (
@@ -25,13 +31,7 @@ from fairdial.boatsim.metrics import (
     decimate_positions,
     global_trajectory_losses,
 )
-from fairdial.boatsim.physics import (
-    BoatState,
-    PhysicsParams,
-    step_arrays,
-    step_physics,
-    wrap_angle,
-)
+from fairdial.boatsim.physics import PhysicsParams, step_arrays
 from fairdial.boatsim.world import (
     MAX_TICKS,
     BoatAgent,
@@ -46,9 +46,17 @@ from fairdial.boatsim.world import (
     run_boat_trial,
     sail_variants,
 )
-from fairdial.culture import FeatureDescription, sample_boat_agent
-from fairdial.dialogue import STRATEGIES
+from fairdial.culture import (
+    OP,
+    PR,
+    FeatureDescription,
+    builtin_boat_culture,
+    expand,
+    sample_boat_agent,
+)
+from fairdial.dialogue import BUDGET_FORCED, STRATEGIES, run_dispute
 from fairdial.errors import InputError, SimulationFault
+from reference_models import BoatState, step_physics, wrap_angle
 
 TINY_WORLD = WorldConfig(arena_length=3000.0, n_agents=2, max_time=300.0)
 
@@ -270,6 +278,63 @@ def test_pair_orientation_rules():
     assert _orient_pair(agents, 3, 0) == (0, 3)
 
 
+# a default 16-boat world: 120 pairs, ruled at a tight and the default budget
+RULED_WORLD = init_parade(1000, WorldConfig())
+RULED_BUDGETS = (5, 30)
+
+
+def test_rulings_replay_each_pair_dispute_alone():
+    # Each pair's ruling is the dispute a ruling once played on its own: the
+    # pair's oriented descriptions and a generator seeded by (world seed,
+    # pair, strategy, g), whether or not the strategy draws from it.
+    world = RULED_WORLD
+    xc = expand(builtin_boat_culture())
+    rulings = world_module._rule(world, [
+        ("nominal", s, g) for s in STRATEGIES for g in RULED_BUDGETS])
+    terminations = set()
+    for (_, strategy, g), encounters in rulings.items():
+        assert [(e.first, e.second) for e in encounters] == list(
+            combinations(range(16), 2))
+        for e in encounters:
+            pr, op = _orient_pair(world.agents, e.first, e.second)
+            res = run_dispute(
+                world.agents[pr].description, world.agents[op].description,
+                xc, strategy, g,
+                rng=random.Random(
+                    derive_seed(world.seed, "dlg", pr, op, strategy, g)))
+            assert (e.pr_agent, e.op_agent) == (pr, op)
+            assert (e.winner, e.z, e.termination) == (
+                pr if res.winner == PR else op,
+                res.spent[PR] + res.spent[OP],
+                res.termination,
+            ), (strategy, g, pr, op)
+            terminations.add(e.termination)
+    assert terminations == {"budget_forced", "convinced"}
+
+
+def test_nominal_and_subjective_rulings_differ_only_in_yielding():
+    rulings = world_module._rule(RULED_WORLD, [
+        (mode, s, g) for s in STRATEGIES for g in RULED_BUDGETS
+        for mode in ("nominal", "subjective")])
+    refused = 0
+    for s in STRATEGIES:
+        for g in RULED_BUDGETS:
+            nominal = rulings["nominal", s, g]
+            subjective = rulings["subjective", s, g]
+            assert all(e.yielding for e in nominal)
+            for nom, sub in zip(nominal, subjective, strict=True):
+                assert sub.yielding == (sub.termination != BUDGET_FORCED)
+                assert dataclasses.replace(sub, yielding=True) == nom
+                refused += not sub.yielding
+    assert refused
+
+
+def test_public_names_resolve():
+    for package in (fairdial, boatsim):
+        missing = [n for n in package.__all__ if not hasattr(package, n)]
+        assert not missing, (package.__name__, missing)
+
+
 def test_objective_trial_two_boats():
     world = init_parade(7, TINY_WORLD)
     res = run_boat_trial(world, None, None, "objective")
@@ -465,7 +530,25 @@ def test_default_trial_sails_six_courses(batches, monkeypatch):
         return trial(world, strategy, g, mode)
 
     monkeypatch.setattr(harness_module, "run_boat_trial", spy)
+    disputes, expansions = [], []
+    dispute, expand_culture = fairness_module.run_dispute, world_module.expand
+
+    def played(*args, **kwargs):
+        disputes.append(args[3:5])
+        return dispute(*args, **kwargs)
+
+    def expanded(culture):
+        expansions.append(culture)
+        return expand_culture(culture)
+
+    monkeypatch.setattr(fairness_module, "run_dispute", played)
+    monkeypatch.setattr(world_module, "expand", expanded)
     _run_one_trial((cfg, 0))
+    # each strategy's 120 pairs are played once, for nominal and
+    # subjective alike, from one expansion of the boat culture
+    assert len(expansions) == 1
+    assert sorted(set(disputes)) == sorted((s, 30) for s in STRATEGIES)
+    assert len(disputes) == 4 * 120
     assert batches == [6]  # one batch of 6 courses
     assert served == [True] * 9  # every variant came from the table
     assert len(worlds) == 1  # all 9 calls were served by one sailed world
@@ -595,11 +678,9 @@ def test_poisoned_course_leaves_the_others_bit_identical(monkeypatch, batches):
     world = init_parade(3, GOLDEN_WORLD)
     variants = _triples(HARNESS_ORDER)
     alone = {v: _variant_digest([run_boat_trial(world, *v)]) for v in variants}
-    courses = {
-        v: world_module._course(
-            world_module._rule(world, *world_module._variant(*v)))
-        for v in variants
-    }
+    keys = {v: world_module._variant(*v) for v in variants}
+    rulings = world_module._rule(world, keys.values())
+    courses = {v: world_module._course(rulings[keys[v]]) for v in variants}
     step = world_module.step_arrays
     spent = []
 

@@ -425,38 +425,42 @@ def test_boats_outputs_match_pinned_digests(capsys, tmp_path, argv):
 
 
 def test_single_mode_boats_frees_each_trial(capsys, tmp_path, monkeypatch):
-    # Without --log-trajectories no result, and so no recording buffer,
-    # outlives its trial: each trial's are gone before the next one sails.
-    results, worlds, alive = [], [], []
-    sail, trial = cli.sail_variants, cli.run_boat_trial
-
-    def sailed(world, variants):
-        gc.collect()
-        alive.append(sum(r() is not None for r in results + worlds))
-        world = sail(world, variants)
-        worlds.append(weakref.ref(world))
-        return world
-
-    def served(world, strategy, g, mode):
-        res = trial(world, strategy, g, mode)
-        results.append(weakref.ref(res))
-        return res
-
-    monkeypatch.setattr(cli, "sail_variants", sailed)
-    monkeypatch.setattr(cli, "run_boat_trial", served)
+    # No result, and so no recording buffer, outlives its trial: each
+    # trial's are gone before the next one sails, also when every result's
+    # trajectories are logged.
     override = tmp_path / "world.json"
     override.write_text(json.dumps({
         "arena_length": 3000.0, "n_agents": 2, "max_time": 300.0,
     }), encoding="utf-8")
-    code, _, _ = run_cli(
-        capsys, "boats", "--mode", "nominal", "--strategy", "all",
-        "--trials", "2", "--seed", "7", "--config", str(override),
-        "--out", str(tmp_path / "run"))
-    assert code == 0
-    gc.collect()
-    assert len(results) == 8 and len(worlds) == 2
-    assert alive == [0, 0]
-    assert all(r() is None for r in results + worlds)
+    sail, trial = cli.sail_variants, cli.run_boat_trial
+    for log in ((), ("--log-trajectories",)):
+        results, worlds, alive = [], [], []
+
+        def sailed(world, variants):
+            gc.collect()
+            alive.append(sum(r() is not None for r in results + worlds))
+            world = sail(world, variants)
+            worlds.append(weakref.ref(world))
+            return world
+
+        def served(world, strategy, g, mode):
+            res = trial(world, strategy, g, mode)
+            results.append(weakref.ref(res))
+            return res
+
+        monkeypatch.setattr(cli, "sail_variants", sailed)
+        monkeypatch.setattr(cli, "run_boat_trial", served)
+        out = tmp_path / f"run{len(log)}"
+        code, _, _ = run_cli(
+            capsys, "boats", "--mode", "nominal", "--strategy", "all",
+            "--trials", "2", "--seed", "7", "--config", str(override),
+            *log, "--out", str(out))
+        assert code == 0
+        gc.collect()
+        assert len(results) == 8 and len(worlds) == 2
+        assert alive == [0, 0], log
+        assert all(r() is None for r in results + worlds)
+        assert (out / "trajectories.csv").exists() == bool(log)
 
 
 def test_boats_buffer_too_large_is_exit_1(capsys, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Dispute legality, budgets, strategies and termination labels."""
 
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -482,8 +483,9 @@ def test_kernel_replays_reference_on_headline_trials(monkeypatch):
         for strategy in STRATEGIES:
             counter.seeds.clear()
             drawn = []
+            pairs = permutations(range(len(agents)), 2)
             for j, k, results in budget_records(agents, xc, strategy, cfg.budgets,
-                                                tseed):
+                                                tseed, pairs):
                 for g, res in zip(cfg.budgets, results):
                     g_key = -1 if g is None else g
                     seed = derive_seed(tseed, "dlg", j, k, strategy, g_key)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -228,26 +229,27 @@ def _fresh(agents, xc, strategy, j, k, g, seed):
     return run_dispute(agents[j], agents[k], xc, strategy, g, rng=rng)
 
 
-def _assert_budget_records_match_fresh(agents, xc, budgets, seed):
-    n = len(agents)
+def _assert_budget_records_match_fresh(agents, xc, budgets, seed, pairs):
     for strategy in STRATEGIES:
-        seen = 0
-        for j, k, results in budget_records(agents, xc, strategy, budgets, seed):
+        seen = []
+        for j, k, results in budget_records(agents, xc, strategy, budgets, seed,
+                                            iter(pairs)):
             assert len(results) == len(budgets)
             for g, res in zip(budgets, results):
                 fresh = _fresh(agents, xc, strategy, j, k, g, seed)
                 assert (res.winner, res.transcript, res.spent, res.termination) == (
                     fresh.winner, fresh.transcript, fresh.spent, fresh.termination
                 ), (strategy, j, k, g)
-            seen += 1
-        assert seen == n * (n - 1)
+            seen.append((j, k))
+        assert seen == pairs  # exactly the pairs given, in their order
 
 
 def test_budget_records_match_fresh_disputes_at_headline_scale():
     """Reused dialogues equal fresh ones at every sweep budget."""
     cfg = TrialConfig(seed=derive_seed(3, "trial", 0))
     xc, agents = _population(cfg)
-    _assert_budget_records_match_fresh(agents, xc, cfg.budgets, cfg.seed)
+    pairs = list(permutations(range(len(agents)), 2))
+    _assert_budget_records_match_fresh(agents, xc, cfg.budgets, cfg.seed, pairs)
 
 
 def test_seed_prefix_extends_to_derive_seed():
@@ -272,8 +274,11 @@ def test_budget_records_match_fresh_disputes_on_small_cultures():
         agents = random_agents(4, n - 1, rng)
         order = list(budgets)
         rng.shuffle(order)  # any order of budgets, repeats included
+        # any subset of the ordered pairs in any order, repeats included
+        pairs = rng.sample(list(permutations(range(4), 2)), rng.randint(1, 12))
+        pairs.append(pairs[0])
         _assert_budget_records_match_fresh(
-            agents, xc, tuple(order) + (order[0],), trial)
+            agents, xc, tuple(order) + (order[0],), trial, pairs)
 
 
 # ------------------------------------------------------------ theorem check
