@@ -55,18 +55,19 @@ def worker_count(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
-def parallel_map(fn, tasks, jobs: int = 1) -> list:
-    """``[fn(t) for t in tasks]``, spread over up to ``jobs`` worker processes.
+def parallel_map(fn, tasks, jobs: int = 1):
+    """Yield ``fn(t)`` for each task, over up to ``jobs`` worker processes.
 
-    Results come back in task order, so nothing downstream depends on
-    ``jobs``, which is capped by ``worker_count``.  ``fn`` must be a
-    module-level function; workers are spawned and import it afresh.
+    Results come in task order, so nothing downstream depends on ``jobs``
+    (capped by ``worker_count``); one job pulls a task per result.  ``fn``
+    must be a module-level function; workers are spawned and import it afresh.
     """
     jobs = worker_count(jobs)
     if jobs == 1:
-        return [fn(t) for t in tasks]
+        yield from map(fn, tasks)
+        return
     with multiprocessing.get_context("spawn").Pool(processes=jobs) as pool:
-        return list(pool.imap(fn, tasks))
+        yield from pool.imap(fn, tasks)
 
 
 def fmt_num(x) -> str:

@@ -22,8 +22,6 @@ import shutil
 import sys
 import time
 from collections import deque
-from dataclasses import replace
-from itertools import permutations
 from pathlib import Path
 
 from . import __version__
@@ -54,14 +52,12 @@ from .culture import (
 )
 from .dialogue import STRATEGIES, run_dispute
 from .errors import FairdialError, InputError, SimulationFault
-from .fairness import budget_records
 from .randexp import (
     TrialConfig,
-    _population,
     ecdf_privacy_cost,
     summarise,
     sweep,
-    trial_seeds,
+    transcript_row,
     write_ecdf_csv,
     write_ecdf_plot_script,
     write_summary_csv,
@@ -97,14 +93,6 @@ def _write_manifest(out_dir: Path, command: str, config: dict, outputs,
     return path
 
 
-def _transcript_row(trial, pr_id, op_id, strategy, g, result):
-    return [
-        trial, pr_id, op_id, strategy, g, result.winner, result.termination,
-        result.spent["pr"], result.spent["op"],
-        ";".join(str(m.x_arg) for m in result.transcript),
-    ]
-
-
 # ---------------------------------------------------------------- execute
 
 def _trial_config(config: dict, **extra) -> TrialConfig:
@@ -121,44 +109,16 @@ def _trial_config(config: dict, **extra) -> TrialConfig:
 
 def _execute_sweep(config: dict, out_dir: Path):
     cfg = _trial_config(config, budget_grid=tuple(config["budget_grid"]))
-    rows = sweep(cfg, config["trials"], jobs=config.get("jobs", 1))
+    logged = config.get("log_transcripts")
+    with (open(out_dir / "transcripts.csv", "w", encoding="utf-8", newline="")
+          if logged else contextlib.nullcontext()) as transcripts:
+        rows = sweep(cfg, config["trials"], jobs=config.get("jobs", 1),
+                     transcripts=transcripts)
     write_sweep_csv(rows, out_dir / "sweep.csv")
     write_summary_csv(summarise(rows), out_dir / "sweep_summary.csv")
     write_sweep_plot_script(out_dir / "plots.gp")
     outputs = ["sweep.csv", "sweep_summary.csv", "plots.gp"]
-    if config.get("log_transcripts"):
-        _write_transcripts(cfg, config["trials"], out_dir / "transcripts.csv")
-        outputs.append("transcripts.csv")
-    return outputs
-
-
-def _write_transcripts(cfg: TrialConfig, n_trials: int, path: Path):
-    """Replay every dialogue of a sweep and log its transcript.
-
-    Dialogues are deterministic given the derived seeds, so this replay
-    writes exactly the dialogues the sweep scored, with the sweep's reuse
-    across budgets: one ``budget_records`` pass per (trial, strategy), rows
-    grouped by budget.  Unrestricted dialogues are labelled, as in
-    sweep.csv, with the culture's total cost.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ("trial", "pr_id", "op_id", "strategy", "g", "winner",
-             "termination", "spent_pr", "spent_op", "move_list")
-        )
-        for trial, tseed in enumerate(trial_seeds(cfg.seed, n_trials)):
-            xc, agents = _population(replace(cfg, seed=tseed))
-            for strategy in cfg.strategies:
-                records = list(budget_records(
-                    agents, xc, strategy, cfg.budgets, tseed,
-                    permutations(range(len(agents)), 2)))
-                for i, g in enumerate(cfg.budgets):
-                    label = xc.total_cost if g is None else g
-                    for j, k, results in records:
-                        writer.writerow(
-                            _transcript_row(trial, j, k, strategy, label, results[i])
-                        )
+    return outputs + ["transcripts.csv"] if logged else outputs
 
 
 def _execute_ecdf(config: dict, out_dir: Path):
@@ -459,8 +419,8 @@ def _cmd_dispute(args) -> int:
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(
-            _transcript_row(0, "pr", "op", args.strategy,
-                            g if g is not None else "inf", res)
+            transcript_row(0, "pr", "op", args.strategy,
+                           g if g is not None else "inf", res)
         )
         for m in res.transcript:
             print(f"  {m.player}: {xc.x_arg(m.x_arg).label} (cost {m.cost_charged})")
@@ -611,7 +571,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--jobs", type=_positive_int, default=1)
     p_sweep.add_argument("--log-transcripts", action="store_true",
-                         help="also write every dialogue transcript (large)")
+                         help="also write every scored dialogue's transcript"
+                              " (large); honours --jobs")
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=_cmd_sweep)
 

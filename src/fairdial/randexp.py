@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import io
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -38,6 +39,8 @@ FEATURE_VALUE_RANGE = (0, 999)
 
 SWEEP_COLUMNS = ("seed", "strategy", "g", "mean_l_SL", "mean_l_OL", "K_raw", "K_norm")
 ECDF_COLUMNS = ("strategy", "z", "proportion")
+TRANSCRIPT_COLUMNS = ("trial", "pr_id", "op_id", "strategy", "g", "winner",
+                      "termination", "spent_pr", "spent_op", "move_list")
 
 
 @dataclass(frozen=True)
@@ -99,12 +102,13 @@ def _population(cfg: TrialConfig):
     return xc, agents
 
 
-def run_trial(cfg: TrialConfig):
+def run_trial(cfg: TrialConfig, log=None):
     """All (strategy, budget) rows for one trial seed.
 
-    Outcomes reduce as the pairs stream past: one winner matrix plus
-    budget-forced and referee-mismatch counts per budget, never a table of
-    dialogue results.
+    Outcomes reduce as the pairs stream past, into one winner matrix plus
+    budget-forced and referee-mismatch counts per budget.  With ``log``,
+    each row first calls ``log(pr, op, strategy, g, result)`` for every
+    dialogue it scores, ``g`` being the row's budget label.
     """
     xc, agents = _population(cfg)
     gt = ground_truth_matrix(agents, xc)
@@ -117,6 +121,7 @@ def run_trial(cfg: TrialConfig):
         winners = [[[None] * n for _ in range(n)] for _ in budgets]
         forced = [0] * len(budgets)
         wrong = [0] * len(budgets)
+        records = []
         for j, k, results in budget_records(agents, xc, strategy, budgets,
                                             cfg.seed, permutations(range(n), 2)):
             truth = gt.entries[j][k]
@@ -126,14 +131,19 @@ def run_trial(cfg: TrialConfig):
                     forced[b] += 1
                 if res.winner != truth:
                     wrong[b] += 1
+            if log is not None:
+                records.append((j, k, results))
         for b, g in enumerate(budgets):
+            label = xc.total_cost if g is None else g
+            for j, k, results in records:
+                log(j, k, strategy, label, results[b])
             matrix = OutcomeMatrix(entries=tuple(tuple(r) for r in winners[b]))
             k_raw, k_norm = global_losses(gt_graph, precedence_graph(matrix))
             rows.append(
                 TrialRow(
                     seed=cfg.seed,
                     strategy=strategy,
-                    g=xc.total_cost if g is None else g,
+                    g=label,
                     mean_l_sl=forced[b] / n_pairs,
                     mean_l_ol=wrong[b] / n_pairs,
                     k_raw=k_raw,
@@ -148,17 +158,45 @@ def trial_seeds(base_seed: int, n_trials: int):
     return [derive_seed(base_seed, "trial", t) for t in range(n_trials)]
 
 
+def transcript_row(trial, pr_id, op_id, strategy, g, result):
+    """One ``TRANSCRIPT_COLUMNS`` row for a played dialogue."""
+    return [
+        trial, pr_id, op_id, strategy, g, result.winner, result.termination,
+        result.spent["pr"], result.spent["op"],
+        ";".join(str(m.x_arg) for m in result.transcript),
+    ]
+
+
 def _sweep_worker(args):
-    cfg, trial_seed = args
-    return run_trial(replace(cfg, seed=trial_seed))
+    cfg, trial, logged = args
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+
+    def log(*record):
+        writer.writerow(transcript_row(trial, *record))
+
+    return run_trial(cfg, log if logged else None), text.getvalue()
 
 
-def sweep(cfg: TrialConfig, n_trials: int, jobs: int = 1):
-    """Run ``n_trials`` independent trials; rows merge in trial order."""
+def sweep(cfg: TrialConfig, n_trials: int, jobs: int = 1, transcripts=None):
+    """Run ``n_trials`` independent trials; rows merge in trial order.
+
+    Each trial's dialogues go as CSV to ``transcripts``, a text file if
+    given, as soon as that trial's rows arrive.
+    """
     if n_trials < 1:
         raise InputError("need at least one trial")
-    tasks = [(cfg, s) for s in trial_seeds(cfg.seed, n_trials)]
-    return [row for chunk in parallel_map(_sweep_worker, tasks, jobs) for row in chunk]
+    logged = transcripts is not None
+    tasks = [(replace(cfg, seed=s), t, logged)
+             for t, s in enumerate(trial_seeds(cfg.seed, n_trials))]
+    if logged:
+        csv.writer(transcripts, lineterminator="\n").writerow(TRANSCRIPT_COLUMNS)
+    rows = []
+    for chunk, text in parallel_map(_sweep_worker, tasks, jobs):
+        rows += chunk
+        if logged:
+            transcripts.write(text)
+    return rows
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from fairdial import cli
+from fairdial import cli, fairness, randexp
 from fairdial.cli import main
 from fairdial.errors import InputError
 from fairdial.fairness import dispute_records
-from fairdial.randexp import TrialConfig, _population, trial_seeds
+from fairdial.randexp import TrialConfig, _population, transcript_row, trial_seeds
 from test_boatsim import GOLDEN_WORLD
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -219,10 +219,97 @@ def test_transcripts_hold_every_scored_dialogue(capsys, tmp_path):
             for g in cfg.budgets:
                 label = xc.total_cost if g is None else g
                 for j, k, res in dispute_records(agents, xc, strategy, g, tseed):
-                    row = cli._transcript_row(trial, j, k, strategy, label, res)
+                    row = transcript_row(trial, j, k, strategy, label, res)
                     fresh.append([str(v) for v in row])
     with open(out / "transcripts.csv", newline="") as fh:
         assert list(csv.reader(fh))[1:] == fresh
+
+
+TINY_SWEEP = ("sweep", "--agents", "4", "--args", "5", "--attacks", "7",
+              "--budget-max", "20", "--budget-step", "10", "--trials", "2",
+              "--seed", "9")
+
+
+def test_logged_sweep_plays_each_dialogue_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    play = fairness.run_dispute
+
+    def counted(*args, **kwargs):
+        calls[-1] += 1
+        return play(*args, **kwargs)
+
+    monkeypatch.setattr(fairness, "run_dispute", counted)
+    for log in ((), ("--log-transcripts",)):
+        calls.append(0)
+        out = tmp_path / f"run{len(log)}"
+        code, _, _ = run_cli(capsys, *TINY_SWEEP, *log, "--out", str(out))
+        assert code == 0
+        assert (out / "transcripts.csv").exists() == bool(log)
+    plain, logged = calls
+    assert plain > 0 and logged == plain
+
+
+def test_sweep_failing_mid_run_publishes_nothing(capsys, tmp_path, monkeypatch):
+    trial = randexp.run_trial
+    started = []
+
+    def second_fails(cfg, log=None):
+        started.append(cfg.seed)
+        if len(started) == 2:
+            raise InputError("trial failed")
+        return trial(cfg, log)
+
+    monkeypatch.setattr(randexp, "run_trial", second_fails)
+    out = tmp_path / "run"
+    code, _, err = run_cli(capsys, *TINY_SWEEP, "--log-transcripts",
+                           "--out", str(out))
+    assert code == 1 and err.startswith("fairdial:") and "trial failed" in err
+    assert len(started) == 2
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+# full sha256 of the headline-scale sweep and ECDF outputs at seed 11; the
+# sweep's must not depend on --jobs, on the transcript log or on a rerun
+GOLDEN_SWEEP = {
+    "sweep.csv":
+        "172d23f9f0b216df0fc17ef73fe4cc9b564e2827a0bf27acac8099bc3a3c5b7a",
+    "sweep_summary.csv":
+        "8baba60cef9a9fd7aa52decb03b4b6a212b7d62cec05411e5168736c2d93ddff",
+    "transcripts.csv":
+        "82708d54e2a5cab31ade5b702ac30ec298abaedf892fb7cc3c8da412789a8efb",
+}
+GOLDEN_ECDF = {
+    "ecdf.csv":
+        "31fcdd7d12b91b7ae21949072a639d70d9934629485468e48732ec4312e6b4fd",
+}
+
+
+def _digests(out, names):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in names}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_outputs_match_pinned_digests(capsys, tmp_path, jobs):
+    out = tmp_path / "run"
+    code, _, _ = run_cli(capsys, "sweep", "--trials", "3", "--seed", "11",
+                         "--log-transcripts", "--jobs", jobs, "--out", str(out))
+    assert code == 0
+    assert _digests(out, GOLDEN_SWEEP) == GOLDEN_SWEEP
+    replay = tmp_path / "replay"
+    code, _, _ = run_cli(capsys, "rerun", str(out / "manifest.json"),
+                         "--out", str(replay))
+    assert code == 0
+    assert _digests(replay, GOLDEN_SWEEP) == GOLDEN_SWEEP
+
+
+def test_ecdf_output_matches_pinned_digest(capsys, tmp_path):
+    out = tmp_path / "run"
+    code, _, _ = run_cli(capsys, "ecdf", "--trials", "3", "--seed", "11",
+                         "--out", str(out))
+    assert code == 0
+    assert _digests(out, GOLDEN_ECDF) == GOLDEN_ECDF
 
 
 @pytest.mark.parametrize("argv", [
@@ -293,9 +380,13 @@ SWEEP_CONFIG = {
         "world": {"__post_init__": 1}}}), "unknown world config key"),
     (json.dumps({"command": "ecdf", "config": {**SWEEP_CONFIG, "jobs": 1.5}}),
      "'jobs' must be an integer"),
+    (json.dumps({"command": "sweep", "config": {
+        **SWEEP_CONFIG, "jobs": 0, "log_transcripts": True}}),
+     "jobs must be at least 1"),
 ], ids=["invalid-json", "not-an-object", "no-config", "config-not-an-object",
         "missing-key", "string-count", "bool-count", "long-pair",
-        "world-not-an-object", "world-class-attribute", "float-jobs"])
+        "world-not-an-object", "world-class-attribute", "float-jobs",
+        "zero-jobs"])
 def test_rerun_rejects_bad_manifest(capsys, tmp_path, text, reason):
     bad = tmp_path / "manifest.json"
     bad.write_text(text, encoding="utf-8")

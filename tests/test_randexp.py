@@ -128,7 +128,22 @@ def test_parallel_map_never_asks_for_more_workers_than_cpus(monkeypatch):
 
     monkeypatch.setattr(_util.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(_util.multiprocessing, "get_context", no_pool)
-    assert _util.parallel_map(abs, [-1, 2, -3], jobs=10**9) == [1, 2, 3]
+    assert list(_util.parallel_map(abs, [-1, 2, -3], jobs=10**9)) == [1, 2, 3]
+
+
+def test_serial_parallel_map_pulls_one_task_per_result():
+    pulled = []
+
+    def tasks():
+        for t in (-1, 2, -3):
+            pulled.append(t)
+            yield t
+
+    results = _util.parallel_map(abs, tasks(), jobs=1)
+    assert pulled == []
+    assert next(results) == 1 and pulled == [-1]
+    assert next(results) == 2 and pulled == [-1, 2]
+    assert list(results) == [3] and pulled == [-1, 2, -3]
 
 
 def test_trial_seeds_are_stable_and_distinct():
