@@ -40,7 +40,6 @@ class BoatExperimentConfig:
     g: int = 30  # per-player budget; a pair may spend 2g together
     n_trials: int = 10
     world: WorldConfig = WorldConfig()
-    stride: int = DEFAULT_STRIDE
     literal_gap: bool = False
 
     def __post_init__(self):
@@ -76,10 +75,8 @@ def _run_one_trial(args):
     for strategy in cfg.strategies:
         nominal = run_boat_trial(world, strategy, cfg.g, NOMINAL)
         subjective = run_boat_trial(world, strategy, cfg.g, SUBJECTIVE)
-        losses = global_trajectory_losses(
-            nominal, subjective, objective,
-            stride=cfg.stride, literal_gap=cfg.literal_gap,
-        )
+        losses = global_trajectory_losses(nominal, subjective, objective,
+                                          literal_gap=cfg.literal_gap)
         comfort = tuple(
             comfort_metrics(nominal.telemetry[i], nominal.trajectories[i],
                             top_speed=cfg.world.physics.top_speed)

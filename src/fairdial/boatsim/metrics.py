@@ -20,6 +20,7 @@ from .frechet import frechet_pairs
 from .world import BoatTrialResult, Telemetry, Trajectory
 
 DEFAULT_STRIDE = 20  # ticks between Fréchet samples: 1 s at the 20 Hz tick
+TRIM_FRACTION = 0.95  # share of top speed that opens the comfort window
 
 
 @dataclass(frozen=True)
@@ -30,17 +31,16 @@ class ComfortMetrics:
 
 
 def comfort_metrics(telemetry: Telemetry, trajectory: Trajectory,
-                    top_speed: float = 30.0,
-                    trim_fraction: float = 0.95) -> ComfortMetrics:
+                    top_speed: float = 30.0) -> ComfortMetrics:
     """Absolute-value AUCs of the comfort series over the cruise window.
 
-    The window opens once the boat first reaches ``trim_fraction`` of top
+    The window opens once the boat first reaches ``TRIM_FRACTION`` of top
     speed and closes at arrival, so launch acceleration and terminal
     braking stay out of the integral.
     """
     if len(telemetry.ts) != len(trajectory.ts):
         raise InputError("telemetry and trajectory must be aligned")
-    cruising = np.nonzero(trajectory.speeds >= trim_fraction * top_speed)[0]
+    cruising = np.nonzero(trajectory.speeds >= TRIM_FRACTION * top_speed)[0]
     start = int(cruising[0]) if len(cruising) else len(trajectory.ts)
     end = min(telemetry.arrival_index, len(telemetry.ts))
     if end - start < 2:
@@ -88,7 +88,6 @@ class TrajectoryLosses:
 def global_trajectory_losses(nominal: BoatTrialResult,
                              subjective: BoatTrialResult,
                              objective: BoatTrialResult,
-                             stride: int = DEFAULT_STRIDE,
                              literal_gap: bool = False) -> TrajectoryLosses:
     """Fréchet distortion per agent across the three worlds of one trial.
 
@@ -102,7 +101,7 @@ def global_trajectory_losses(nominal: BoatTrialResult,
     if not (len(subjective.trajectories) == len(objective.trajectories) == n):
         raise InputError("trials must cover the same agents")
     j_n, j_s, j_o = (
-        [decimate_positions(tr, stride) for tr in res.trajectories]
+        [decimate_positions(tr) for tr in res.trajectories]
         for res in (nominal, subjective, objective)
     )
     omega = frechet_pairs(j_n, j_o)

@@ -175,60 +175,32 @@ class ExpandedCulture:
 
         for arg in base.args:
             pos = base.feature_positions.get(arg.arg_id)
-            for role_idx, role in enumerate(ROLES):
-                x = len(x_args)
-                hyp[arg.arg_id, role_idx] = x
-                x_args.append(
-                    ExpandedArgument(
-                        x_id=x,
-                        origin=arg.arg_id,
-                        kind=HYPOTHESIS,
-                        owner=role,
-                        cost=0,  # patched below once slots are final
-                        feature_pos=pos,
-                        label=f"{arg.label}_H^{role}",
-                    )
-                )
-            if not arg.is_motion:
+            for kind in (HYPOTHESIS,) if arg.is_motion else (HYPOTHESIS, FACT):
+                index = hyp if kind == HYPOTHESIS else fact
                 for role_idx, role in enumerate(ROLES):
                     x = len(x_args)
-                    fact[arg.arg_id, role_idx] = x
+                    index[arg.arg_id, role_idx] = x
                     x_args.append(
                         ExpandedArgument(
                             x_id=x,
                             origin=arg.arg_id,
-                            kind=FACT,
+                            kind=kind,
                             owner=role,
-                            cost=0,
+                            cost=arg.cost if costs is None else costs[x],
                             feature_pos=pos,
-                            label=f"{arg.label}_F^{role}",
+                            label=f"{arg.label}_{kind}^{role}",
                         )
                     )
-        x_args = [
-            ExpandedArgument(
-                x_id=a.x_id,
-                origin=a.origin,
-                kind=a.kind,
-                owner=a.owner,
-                cost=costs[a.x_id] if costs is not None else base.args[a.origin].cost,
-                feature_pos=a.feature_pos,
-                label=a.label,
-            )
-            for a in x_args
-        ]
-
-        for arg in base.args:
-            if arg.is_motion:
-                continue
-            a = arg.arg_id
-            h_pr, h_op = hyp[a, 0], hyp[a, 1]
-            f_pr, f_op = fact[a, 0], fact[a, 1]
-            x_attacks.add((h_pr, h_op))  # rule 1
-            x_attacks.add((h_op, h_pr))
-            x_attacks.add((f_pr, f_op))  # rule 2
-            x_attacks.add((f_op, f_pr))
-            x_attacks.add((f_pr, h_op))  # rule 3
-            x_attacks.add((f_op, h_pr))
+            if not arg.is_motion:
+                a = arg.arg_id
+                h_pr, h_op = hyp[a, 0], hyp[a, 1]
+                f_pr, f_op = fact[a, 0], fact[a, 1]
+                x_attacks.add((h_pr, h_op))  # rule 1
+                x_attacks.add((h_op, h_pr))
+                x_attacks.add((f_pr, f_op))  # rule 2
+                x_attacks.add((f_op, f_pr))
+                x_attacks.add((f_pr, h_op))  # rule 3
+                x_attacks.add((f_op, h_pr))
         for a, b in base.attacks:
             b_motion = base.args[b].is_motion
             for w in (0, 1):

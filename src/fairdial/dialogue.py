@@ -41,10 +41,6 @@ class DialogueResult:
     spent: dict
     termination: str
 
-    @property
-    def subjective_loss_flag(self) -> int:
-        return 1 if self.termination == BUDGET_FORCED else 0
-
 
 def run_dispute(pr_desc, op_desc, xc: ExpandedCulture, strategy: str, g,
                 rng=None, *, true_facts=None) -> DialogueResult:

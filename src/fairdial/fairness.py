@@ -10,17 +10,18 @@ budget carry the subjective local loss.
 Population-level distortion compares precedence digraphs: the ground-truth
 and dialogue outcome matrices each induce arcs between agents that beat one
 another both ways round, and a weighted census of reversed, one-sided and
-missing arcs scores their dissimilarity.
+missing arcs scores their dissimilarity.  Outcomes and arcs are held as one
+bit row per agent, so both losses are popcounts over those rows.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
-from ._util import extend_seed, seed_prefix
+from ._util import extend_seed, iter_bits, seed_prefix
 from .af import sceptically_accepted
 from .culture import OP, PR, ExpandedCulture
 from .dialogue import BUDGET_FORCED, RANDOM, DialogueResult, STRATEGIES, run_dispute
@@ -43,29 +44,42 @@ def objective_outcome(d_pr, d_op, xc: ExpandedCulture) -> str:
 
 @dataclass(frozen=True)
 class OutcomeMatrix:
-    """Winner roles over ordered agent pairs; the diagonal is None."""
+    """Rulings over ordered agent pairs, one win row per agent.
 
-    entries: tuple
+    Bit k of ``pr_wins[j]`` is set when agent j, as proponent, beats agent
+    k.  No row may set its own agent's bit or a bit past the last agent.
+    """
+
+    pr_wins: tuple
+
+    def __post_init__(self):
+        for j, row in enumerate(self.pr_wins):
+            if not isinstance(row, int) or row >> self.n_agents or row >> j & 1:
+                raise InputError(f"win row {j} of {self.n_agents} agents is {row!r}")
 
     @property
     def n_agents(self) -> int:
-        return len(self.entries)
+        return len(self.pr_wins)
 
     def winner(self, pr_agent: int, op_agent: int) -> str:
-        if pr_agent == op_agent:
-            raise InputError("an agent cannot dispute itself")
-        return self.entries[pr_agent][op_agent]
+        if pr_agent == op_agent or not (0 <= pr_agent < self.n_agents
+                                        and 0 <= op_agent < self.n_agents):
+            raise InputError(f"no ruling for agents ({pr_agent}, {op_agent})")
+        return PR if self.pr_wins[pr_agent] >> op_agent & 1 else OP
+
+    def mismatches(self, other: OutcomeMatrix) -> int:
+        """Ordered pairs the two matrices rule differently."""
+        if other.n_agents != self.n_agents:
+            raise InputError("outcome matrices must share the agents")
+        return sum((a ^ b).bit_count() for a, b in zip(self.pr_wins, other.pr_wins))
 
 
 def ground_truth_matrix(agents, xc: ExpandedCulture) -> OutcomeMatrix:
-    n = len(agents)
-    rows = []
-    for j in range(n):
-        row = []
-        for k in range(n):
-            row.append(None if j == k else objective_outcome(agents[j], agents[k], xc))
-        rows.append(tuple(row))
-    return OutcomeMatrix(entries=tuple(rows))
+    rows = [0] * len(agents)
+    for j, k in permutations(range(len(agents)), 2):
+        if objective_outcome(agents[j], agents[k], xc) == PR:
+            rows[j] |= 1 << k
+    return OutcomeMatrix(tuple(rows))
 
 
 def budget_records(agents, xc: ExpandedCulture, strategy: str, budgets,
@@ -122,11 +136,11 @@ def dispute_records(agents, xc: ExpandedCulture, strategy: str, g, seed: int):
 
 def result_matrix(agents, xc: ExpandedCulture, strategy: str, g,
                   seed: int) -> OutcomeMatrix:
-    n = len(agents)
-    rows = [[None] * n for _ in range(n)]
+    rows = [0] * len(agents)
     for j, k, res in dispute_records(agents, xc, strategy, g, seed):
-        rows[j][k] = res.winner
-    return OutcomeMatrix(entries=tuple(tuple(r) for r in rows))
+        if res.winner == PR:
+            rows[j] |= 1 << k
+    return OutcomeMatrix(tuple(rows))
 
 
 def objective_local_loss(gt_entry: str, re_entry: str) -> int:
@@ -145,64 +159,55 @@ class PrecedenceGraph:
 
     An arc requires agreement across the two orderings of the pair: j wins
     as proponent against k, and k loses its own motion against j.  At most
-    one arc may join any two vertices.
+    one arc may join any two vertices.  ``out[j]`` and ``into[j]`` are bit
+    rows of the heads of j's arcs and of the tails of the arcs into j.
     """
 
     n_agents: int
     arcs: frozenset
+    out: tuple = field(init=False, repr=False, compare=False)
+    into: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n = self.n_agents
+        out = [0] * n
+        into = [0] * n
         for j, k in self.arcs:
-            if not (0 <= j < self.n_agents and 0 <= k < self.n_agents) or j == k:
+            if not (0 <= j < n and 0 <= k < n) or j == k:
                 raise InputError(f"bad arc ({j}, {k})")
-            if (k, j) in self.arcs:
+            if out[k] >> j & 1:
                 raise InputError(f"pair {{{j}, {k}}} is arced both ways")
+            out[j] |= 1 << k
+            into[k] |= 1 << j
+        object.__setattr__(self, "out", tuple(out))
+        object.__setattr__(self, "into", tuple(into))
 
 
 def precedence_graph(matrix: OutcomeMatrix) -> PrecedenceGraph:
-    n = matrix.n_agents
-    arcs = set()
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            if matrix.winner(j, k) == PR and matrix.winner(k, j) == OP:
-                arcs.add((j, k))
-    return PrecedenceGraph(n_agents=n, arcs=frozenset(arcs))
-
-
-def _arc_state(graph: PrecedenceGraph, j: int, k: int) -> int:
-    if (j, k) in graph.arcs:
-        return 1
-    if (k, j) in graph.arcs:
-        return -1
-    return 0
+    """Arc (j, k) when row j has bit k and row k lacks bit j."""
+    rows = matrix.pr_wins
+    arcs = frozenset((j, k) for j, row in enumerate(rows)
+                     for k in iter_bits(row) if not rows[k] >> j & 1)
+    return PrecedenceGraph(n_agents=len(rows), arcs=arcs)
 
 
 def pair_census(g1: PrecedenceGraph, g2: PrecedenceGraph):
     """Classify every unordered vertex pair across the two graphs.
 
     Returns (reversed, one_sided, absent_both, agreeing); the four counts
-    partition the n(n-1)/2 pairs.
+    partition the n(n-1)/2 pairs.  A reversed or agreeing pair shows once
+    in the bit rows, at its tail in ``g1``; an arced pair shows at both ends.
     """
     if g1.n_agents != g2.n_agents:
         raise InputError("precedence graphs must share the vertex set")
     n = g1.n_agents
-    reversed_ = one_sided = absent = agree = 0
-    for j in range(n):
-        for k in range(j + 1, n):
-            s1 = _arc_state(g1, j, k)
-            s2 = _arc_state(g2, j, k)
-            if s1 == s2:
-                if s1 == 0:
-                    absent += 1
-                else:
-                    agree += 1
-            elif s1 == 0 or s2 == 0:
-                one_sided += 1
-            else:
-                reversed_ += 1
-    return reversed_, one_sided, absent, agree
+    reversed_ = agree = arced = 0
+    for out1, into1, out2, into2 in zip(g1.out, g1.into, g2.out, g2.into):
+        reversed_ += (out1 & into2).bit_count()
+        agree += (out1 & out2).bit_count()
+        arced += (out1 | into1 | out2 | into2).bit_count()
+    arced //= 2
+    return reversed_, arced - reversed_ - agree, n * (n - 1) // 2 - arced, agree
 
 
 def dag_dissimilarity(g1: PrecedenceGraph, g2: PrecedenceGraph,
@@ -257,9 +262,8 @@ def theorem1_check(agents, xc: ExpandedCulture, seed: int) -> Theorem1Report:
     forced = 0
     sl_total = 0
     mismatches = {}
-    per_strategy = len(agents) * (len(agents) - 1)
     for strategy in STRATEGIES:
-        wrong = 0
+        rows = [0] * len(agents)
         for j, k, res in dispute_records(agents, xc, strategy, g, seed):
             if res.termination == BUDGET_FORCED:
                 forced += 1
@@ -267,12 +271,12 @@ def theorem1_check(agents, xc: ExpandedCulture, seed: int) -> Theorem1Report:
                     f"{strategy}: dispute ({j}, {k}) ended budget_forced at g={g}"
                 )
             sl_total += subjective_local_loss(res)
-            if res.winner != gt.winner(j, k):
-                wrong += 1
-        mismatches[strategy] = wrong
+            if res.winner == PR:
+                rows[j] |= 1 << k
+        mismatches[strategy] = gt.mismatches(OutcomeMatrix(tuple(rows)))
     return Theorem1Report(
         n_agents=len(agents),
-        disputes_per_strategy=per_strategy,
+        disputes_per_strategy=len(agents) * (len(agents) - 1),
         budget_forced=forced,
         subjective_loss_total=sl_total,
         re_gt_mismatches=mismatches,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from ._util import derive_seed, fmt_num, parallel_map
-from .culture import FeatureDescription, expand, generate_random_culture
+from .culture import PR, FeatureDescription, expand, generate_random_culture
 from .dialogue import BUDGET_FORCED, STRATEGIES
 from .errors import InputError
 from .fairness import (
@@ -105,10 +105,10 @@ def _population(cfg: TrialConfig):
 def run_trial(cfg: TrialConfig, log=None):
     """All (strategy, budget) rows for one trial seed.
 
-    Outcomes reduce as the pairs stream past, into one winner matrix plus
-    budget-forced and referee-mismatch counts per budget.  With ``log``,
-    each row first calls ``log(pr, op, strategy, g, result)`` for every
-    dialogue it scores, ``g`` being the row's budget label.
+    Outcomes reduce as the pairs stream past, into one win row per agent
+    and a budget-forced count per budget.  With ``log``, each row first
+    calls ``log(pr, op, strategy, g, result)`` for every dialogue it
+    scores, ``g`` being the row's budget label.
     """
     xc, agents = _population(cfg)
     gt = ground_truth_matrix(agents, xc)
@@ -118,26 +118,23 @@ def run_trial(cfg: TrialConfig, log=None):
     budgets = cfg.budgets
     rows = []
     for strategy in cfg.strategies:
-        winners = [[[None] * n for _ in range(n)] for _ in budgets]
+        wins = [[0] * n for _ in budgets]
         forced = [0] * len(budgets)
-        wrong = [0] * len(budgets)
         records = []
         for j, k, results in budget_records(agents, xc, strategy, budgets,
                                             cfg.seed, permutations(range(n), 2)):
-            truth = gt.entries[j][k]
             for b, res in enumerate(results):
-                winners[b][j][k] = res.winner
+                if res.winner == PR:
+                    wins[b][j] |= 1 << k
                 if res.termination == BUDGET_FORCED:
                     forced[b] += 1
-                if res.winner != truth:
-                    wrong[b] += 1
             if log is not None:
                 records.append((j, k, results))
         for b, g in enumerate(budgets):
             label = xc.total_cost if g is None else g
             for j, k, results in records:
                 log(j, k, strategy, label, results[b])
-            matrix = OutcomeMatrix(entries=tuple(tuple(r) for r in winners[b]))
+            matrix = OutcomeMatrix(tuple(wins[b]))
             k_raw, k_norm = global_losses(gt_graph, precedence_graph(matrix))
             rows.append(
                 TrialRow(
@@ -145,7 +142,7 @@ def run_trial(cfg: TrialConfig, log=None):
                     strategy=strategy,
                     g=label,
                     mean_l_sl=forced[b] / n_pairs,
-                    mean_l_ol=wrong[b] / n_pairs,
+                    mean_l_ol=gt.mismatches(matrix) / n_pairs,
                     k_raw=k_raw,
                     k_norm=k_norm,
                     unrestricted=g is None,

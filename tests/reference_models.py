@@ -12,6 +12,11 @@ none of the tables only the kernel uses (``adv_fact``, ``aff``,
 
 ``step_physics`` advances one boat of scalar ``BoatState`` at a time, the
 reference for the vectorised ``boatsim.physics.step_arrays``.
+
+``reference_arcs`` and ``reference_census`` build precedence arcs as a set
+of pairs from per-pair rulings and classify one vertex pair at a time: the
+reference for the bit-row ``fairness.precedence_graph`` and
+``fairness.pair_census``.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from fairdial._util import iter_bits
 from fairdial.boatsim.physics import PhysicsParams
@@ -266,3 +272,48 @@ def step_physics(state: BoatState, controls, params: PhysicsParams,
         yaw_rate=yaw_rate,
         t=state.t + dt,
     )
+
+
+def reference_arcs(n: int, winners) -> frozenset:
+    """Precedence arcs from ``winners[j, k]``, the role that won (j, k).
+
+    Arc (j, k) when j wins as proponent against k and k loses its own
+    motion against j.
+    """
+    return frozenset(
+        (j, k) for j in range(n) for k in range(n)
+        if j != k and winners[j, k] == PR and winners[k, j] == OP
+    )
+
+
+def _arc_state(arcs, j: int, k: int) -> int:
+    if (j, k) in arcs:
+        return 1
+    if (k, j) in arcs:
+        return -1
+    return 0
+
+
+def reference_census(n: int, arcs1, arcs2):
+    """(reversed, one_sided, absent_both, agreeing) over the n(n-1)/2 pairs."""
+    reversed_ = one_sided = absent = agree = 0
+    for j in range(n):
+        for k in range(j + 1, n):
+            s1 = _arc_state(arcs1, j, k)
+            s2 = _arc_state(arcs2, j, k)
+            if s1 == s2:
+                if s1 == 0:
+                    absent += 1
+                else:
+                    agree += 1
+            elif s1 == 0 or s2 == 0:
+                one_sided += 1
+            else:
+                reversed_ += 1
+    return reversed_, one_sided, absent, agree
+
+
+def reference_dissimilarity(n: int, arcs1, arcs2) -> Fraction:
+    """Raw K: reversed pairs count 1, one-sided 2/3, jointly absent 1/3."""
+    reversed_, one_sided, absent, _ = reference_census(n, arcs1, arcs2)
+    return reversed_ + Fraction(2, 3) * one_sided + Fraction(1, 3) * absent

@@ -18,7 +18,7 @@ from fairdial.dialogue import BUDGET_FORCED, CONVINCED, STRATEGIES, run_dispute
 from fairdial.errors import InputError
 from fairdial import dialogue, fairness
 from fairdial._util import derive_seed
-from fairdial.fairness import budget_records
+from fairdial.fairness import budget_records, subjective_local_loss
 from fairdial.randexp import TrialConfig, _population, trial_seeds
 from reference_models import (
     DialogueState,
@@ -159,7 +159,7 @@ def test_min_cost_dispute_with_crafted_costs():
     assert res.winner == "pr"
     assert res.termination == CONVINCED
     assert res.spent == {"pr": 4, "op": 2}
-    assert res.subjective_loss_flag == 0
+    assert subjective_local_loss(res) == 0
 
 
 def test_offensive_and_defensive_prefer_the_health_line():
@@ -180,7 +180,7 @@ def test_unaffordable_motion_forfeits_immediately():
     assert res.winner == "op"
     assert res.termination == BUDGET_FORCED
     assert res.spent == {"pr": 0, "op": 0}
-    assert res.subjective_loss_flag == 1
+    assert subjective_local_loss(res) == 1
 
 
 def test_budget_forcing_at_exact_boundaries():
@@ -443,8 +443,8 @@ def test_budget_forcing_mostly_relaxes_with_budget():
             flags = []
             for g in grid:
                 res = run_dispute(pr, op, xc, strategy, g)
-                flags.append(res.subjective_loss_flag)
-                rates[g] += res.subjective_loss_flag
+                flags.append(subjective_local_loss(res))
+                rates[g] += subjective_local_loss(res)
             pairs += 1
             if any(b > a for a, b in zip(flags, flags[1:])):
                 regressing += 1

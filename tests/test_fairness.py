@@ -33,6 +33,7 @@ from fairdial.fairness import (
     theorem1_check,
 )
 from fairdial.randexp import TrialConfig, _population
+from reference_models import reference_arcs, reference_census, reference_dissimilarity
 
 
 def example_xc():
@@ -77,8 +78,11 @@ def test_ground_truth_matrix_layout():
     assert gt.winner(0, 1) == "pr"
     assert gt.winner(1, 0) == "op"
     assert gt.winner(0, 2) == "op"  # identical agents, motion falls
+    for j, k in ((1, 1), (0, 3), (-1, 0)):
+        with pytest.raises(InputError):
+            gt.winner(j, k)
     with pytest.raises(InputError):
-        gt.winner(1, 1)
+        gt.mismatches(OutcomeMatrix((0, 0)))
 
 
 def test_local_losses():
@@ -97,15 +101,48 @@ def test_local_losses():
 # ------------------------------------------------------------- precedence
 
 def test_precedence_requires_winning_both_orderings():
-    m = OutcomeMatrix(entries=(
-        (None, "pr", "pr"),
-        ("op", None, "pr"),
-        ("pr", "op", None),
-    ))
+    m = OutcomeMatrix(pr_wins=(0b110, 0b100, 0b001))
     # 0 beats 1 home and away; 0 vs 2: both win at home -> no arc;
     # 1 vs 2: agent 1 wins both orderings
     g = precedence_graph(m)
     assert g.arcs == {(0, 1), (1, 2)}
+
+
+def _random_rows(n, rng):
+    density = rng.choice((0.1, 0.5, 0.9))
+    return [sum(1 << k for k in range(n) if k != j and rng.random() < density)
+            for j in range(n)]
+
+
+def _rulings(rows):
+    n = len(rows)
+    return {(j, k): "pr" if rows[j] >> k & 1 else "op"
+            for j, k in permutations(range(n), 2)}
+
+
+def test_bit_rows_match_arc_set_reference():
+    rng = random.Random(29)
+    for n in range(2, 18):
+        for _ in range(12):
+            rows_a = _random_rows(n, rng)
+            # flipping few rulings keeps arcs agreeing, flipping most reverses them
+            rows_b = [a ^ f for a, f in zip(rows_a, _random_rows(n, rng))]
+            ma, mb = OutcomeMatrix(tuple(rows_a)), OutcomeMatrix(tuple(rows_b))
+            ra, rb = _rulings(rows_a), _rulings(rows_b)
+            assert all(ma.winner(j, k) == ra[j, k] for j, k in ra)
+            assert ma.mismatches(mb) == sum(ra[p] != rb[p] for p in ra)
+            arcs_a, arcs_b = reference_arcs(n, ra), reference_arcs(n, rb)
+            ga, gb = precedence_graph(ma), precedence_graph(mb)
+            assert ga.arcs == arcs_a and gb.arcs == arcs_b
+            assert pair_census(ga, gb) == reference_census(n, arcs_a, arcs_b)
+            assert dag_dissimilarity(ga, gb) == reference_dissimilarity(
+                n, arcs_a, arcs_b)
+            j = rng.randrange(n)
+            for bad in (1 << j, 1 << rng.randint(n, n + 3), -1 << n):
+                broken = list(rows_a)
+                broken[j] |= bad
+                with pytest.raises(InputError):
+                    OutcomeMatrix(tuple(broken))
 
 
 def test_precedence_graph_validation():

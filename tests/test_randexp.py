@@ -1,19 +1,14 @@
 """Budget sweeps, ECDF tables and their CSV shapes."""
 
 import csv
+from itertools import permutations
 
 import pytest
 
 from fairdial import _util
 from fairdial.dialogue import BUDGET_FORCED
 from fairdial.errors import InputError
-from fairdial.fairness import (
-    dispute_records,
-    global_losses,
-    ground_truth_matrix,
-    precedence_graph,
-    result_matrix,
-)
+from fairdial.fairness import dispute_records, objective_outcome
 from fairdial.randexp import (
     DEFAULT_BUDGET_GRID,
     ECDF_COLUMNS,
@@ -30,6 +25,7 @@ from fairdial.randexp import (
     write_summary_csv,
     write_sweep_csv,
 )
+from reference_models import reference_arcs, reference_dissimilarity
 
 TINY = TrialConfig(
     n_agents=4, n_args=5, n_attacks=7, budget_grid=(0, 10, 20), seed=9
@@ -63,24 +59,30 @@ def test_trial_row_contents():
 
 
 def _reference_trial(cfg):
-    """run_trial rebuilt from dispute_records, every budget played afresh."""
+    """run_trial rebuilt pair by pair from dispute_records.
+
+    Every budget is played afresh, every ruling is compared with the
+    referee's one pair at a time, and K comes from the arc-set census.
+    """
     xc, agents = _population(cfg)
-    gt = ground_truth_matrix(agents, xc)
-    gt_graph = precedence_graph(gt)
-    n_pairs = cfg.n_agents * (cfg.n_agents - 1)
+    n = cfg.n_agents
+    truth = {(j, k): objective_outcome(agents[j], agents[k], xc)
+             for j, k in permutations(range(n), 2)}
+    gt_arcs = reference_arcs(n, truth)
+    n_pairs = n * (n - 1)
     rows = []
     for strategy in cfg.strategies:
         for g in cfg.budgets:
             records = list(dispute_records(agents, xc, strategy, g, cfg.seed))
             forced = sum(res.termination == BUDGET_FORCED for _, _, res in records)
-            wrong = sum(res.winner != gt.winner(j, k) for j, k, res in records)
-            matrix = result_matrix(agents, xc, strategy, g, cfg.seed)
-            k_raw, k_norm = global_losses(gt_graph, precedence_graph(matrix))
+            wrong = sum(res.winner != truth[j, k] for j, k, res in records)
+            winners = {(j, k): res.winner for j, k, res in records}
+            k_raw = reference_dissimilarity(n, gt_arcs, reference_arcs(n, winners))
             rows.append(TrialRow(
                 seed=cfg.seed, strategy=strategy,
                 g=xc.total_cost if g is None else g,
                 mean_l_sl=forced / n_pairs, mean_l_ol=wrong / n_pairs,
-                k_raw=k_raw, k_norm=k_norm, unrestricted=g is None,
+                k_raw=k_raw, k_norm=k_raw / (n_pairs // 2), unrestricted=g is None,
             ))
     return rows
 
