@@ -160,14 +160,14 @@ def write_boat_encounters_csv(rows, path):
                 )
 
 
-def write_trajectory_csv(results, path, stride: int = DEFAULT_STRIDE):
+def write_trajectory_csv(results, path):
     """Decimated per-tick state of (trial, BoatTrialResult)s, each as it comes."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRAJECTORY_COLUMNS)
         for trial, res in results:
             for agent, (traj, tel) in enumerate(zip(res.trajectories, res.telemetry)):
-                for k in range(0, len(traj), stride):
+                for k in range(0, len(traj), DEFAULT_STRIDE):
                     writer.writerow(
                         [
                             trial,

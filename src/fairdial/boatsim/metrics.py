@@ -53,12 +53,10 @@ def comfort_metrics(telemetry: Telemetry, trajectory: Trajectory,
     )
 
 
-def decimate_positions(trajectory: Trajectory, stride: int = DEFAULT_STRIDE):
-    """Position samples every ``stride`` ticks, always keeping the endpoint."""
-    if stride < 1:
-        raise InputError("stride must be positive")
+def decimate_positions(trajectory: Trajectory):
+    """Position samples every ``DEFAULT_STRIDE`` ticks and the last one."""
     pos = trajectory.positions
-    idx = np.arange(0, len(pos), stride)
+    idx = np.arange(0, len(pos), DEFAULT_STRIDE)
     if idx[-1] != len(pos) - 1:
         idx = np.append(idx, len(pos) - 1)
     return pos[idx]
@@ -79,10 +77,6 @@ class TrajectoryLosses:
     @property
     def mean_omega_p(self) -> float:
         return float(np.mean(self.omega_p))
-
-    @property
-    def mean_gap(self) -> float:
-        return float(np.mean(self.gap))
 
 
 def global_trajectory_losses(nominal: BoatTrialResult,

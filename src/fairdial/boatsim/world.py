@@ -397,8 +397,8 @@ def _sail(world: World, courses) -> list:
     steps all courses.  A course becomes ``(n, n)`` pair tables: ``r_on``
     (activation radius), ``beats[winner, loser]`` and
     ``yields_to[loser, winner]`` (1.0 where the loser yields).  Encounter
-    state is symmetric masks and tick stamps: ``met``/``met_tick`` (came
-    into sensor range), ``waiting`` (met, field not yet on) and
+    state is symmetric masks and tick stamps: ``met``/``met_tick`` (first
+    tick within sensor range), ``waiting`` (met, field not yet on) and
     ``on``/``on_tick`` (field on).  A branch taken per course is a mask
     over the batch; the field force, in particular, is added only to the
     courses whose field or reflex acts, because adding another course's
@@ -442,10 +442,10 @@ def _sail(world: World, courses) -> list:
             f" host could allocate"
         ) from None
     arrived = np.zeros((V, n), dtype=bool)
-    moored = np.zeros((V, n, n), dtype=bool)  # pairs with a moored boat
+    # pairs with a moored boat, and each boat paired with itself
+    moored = np.tile(np.eye(n, dtype=bool), (V, 1, 1))
     throttle = np.ones((V, n))
     arrival_tick = np.full((V, n), -1, dtype=int)
-    was_far = np.zeros((V, n, n), dtype=bool)
     # unit vector u to (u_x - beta u_y, u_y + beta u_x): the field bends
     # toward starboard
     beta = cfg.starboard_bias
@@ -479,11 +479,9 @@ def _sail(world: World, courses) -> list:
     # [course, component, agent, other]: agent - other
     delta = np.empty((V, 2, n, n))
     d = np.empty((V, n, n))
-    d_diag = d.reshape(V, -1)[:, ::n + 1]
-    far = np.empty_like(was_far)
-    entered = np.empty_like(was_far)
+    near, entered = np.empty((2, V, n, n), dtype=bool)
     n_waiting = n_on = 0
-    any_yields = any_arrived = False
+    any_yields = False
 
     for tick in range(max_ticks):
         rec[tick] = state
@@ -492,19 +490,13 @@ def _sail(world: World, courses) -> list:
 
         np.subtract(pos[:, :, :, None], pos[:, :, None, :], out=delta)
         np.hypot(delta[:, 0], delta[:, 1], out=d)
-        d_diag[:] = np.inf
-        if any_arrived:
-            # moored boats neither trigger encounters nor exert fields
-            d[moored] = np.inf
+        # moored boats neither trigger encounters nor exert fields
+        d[moored] = np.inf
 
-        # A pair enters sensor range when it was beyond r_max last tick and
-        # is not now.  (A NaN distance reads as in range here, but a NaN
-        # state always ends its course with a SimulationFault.)
-        np.greater(d, cfg.r_max, out=far)
-        np.greater(was_far, far, out=entered)
-        was_far, far = far, was_far
+        # A pair meets on the first tick it is within sensor range.
+        np.less_equal(d, cfg.r_max, out=near)
+        np.greater(near, met, out=entered)
         if np.count_nonzero(entered):
-            entered &= ~met
             met |= entered
             met_tick[entered] = tick
             waiting |= entered
@@ -556,22 +548,17 @@ def _sail(world: World, courses) -> list:
         np.mod(yaw_cmd, 2.0 * np.pi, out=yaw_cmd)
         np.subtract(np.pi, yaw_cmd, out=yaw_cmd)
         yaw_cmd *= cfg.heading_gain
-        if any_arrived:
-            yaw_cmd[arrived] = 0.0
+        yaw_cmd[arrived] = 0.0
 
         step_arrays(xs, ys, headings, speeds, yaw_rates, throttle, yaw_cmd,
                     cfg.physics, dt)
-        if any_arrived:
-            speeds[arrived] = 0.0
-            yaw_rates[arrived] = 0.0
 
         np.subtract(goal, pos, out=to_goal)
         np.hypot(to_goal[:, 0], to_goal[:, 1], out=goal_dist)
         newly = np.greater(goal_dist <= cfg.goal_tolerance, arrived)
         if np.count_nonzero(newly):
             arrived |= newly
-            any_arrived = True
-            np.logical_or(arrived[:, :, None], arrived[:, None, :], out=moored)
+            moored |= arrived[:, :, None] | arrived[:, None, :]
             arrival_tick[newly] = tick + 1
             speeds[newly] = 0.0
             yaw_rates[newly] = 0.0

@@ -278,7 +278,11 @@ _CONFIG_KEYS = {
 
 
 def _check_config(command: str, config: dict):
-    """Reject a replayed config with a missing key or a wrongly typed value."""
+    """Reject a replayed config with a missing, unknown or wrongly typed key."""
+    known = {key.rstrip("?") for key in _CONFIG_KEYS[command]}
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise InputError(f"{command} config has unknown key {unknown[0]!r}")
     for key, kind in _CONFIG_KEYS[command].items():
         name = key.rstrip("?")
         if name not in config:

@@ -210,15 +210,14 @@ def pair_census(g1: PrecedenceGraph, g2: PrecedenceGraph):
     return reversed_, arced - reversed_ - agree, n * (n - 1) // 2 - arced, agree
 
 
-def dag_dissimilarity(g1: PrecedenceGraph, g2: PrecedenceGraph,
-                      y1: Fraction = Y1, y2: Fraction = Y2) -> Fraction:
+def dag_dissimilarity(g1: PrecedenceGraph, g2: PrecedenceGraph) -> Fraction:
     """Weighted disagreement between two precedence digraphs.
 
-    Reversed pairs count 1, pairs arced in exactly one graph count ``y1``,
-    pairs arced in neither count ``y2``; agreeing arcs are free.
+    Reversed pairs count 1, pairs arced in exactly one graph count ``Y1``,
+    pairs arced in neither count ``Y2``; agreeing arcs are free.
     """
     reversed_, one_sided, absent, _ = pair_census(g1, g2)
-    return Fraction(reversed_) + Fraction(y1) * one_sided + Fraction(y2) * absent
+    return reversed_ + Y1 * one_sided + Y2 * absent
 
 
 def global_losses(gt_graph: PrecedenceGraph, re_graph: PrecedenceGraph):

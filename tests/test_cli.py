@@ -378,15 +378,19 @@ SWEEP_CONFIG = {
     (json.dumps({"command": "boats", "config": {
         "strategy": "all", "budget": 30, "trials": 1, "seed": 1, "mode": "all",
         "world": {"__post_init__": 1}}}), "unknown world config key"),
-    (json.dumps({"command": "ecdf", "config": {**SWEEP_CONFIG, "jobs": 1.5}}),
+    (json.dumps({"command": "ecdf", "config": {
+        "agents": 4, "args": 5, "attacks": 7, "cost_range": [1, 20],
+        "trials": 1, "seed": 1, "jobs": 1.5}}),
      "'jobs' must be an integer"),
     (json.dumps({"command": "sweep", "config": {
         **SWEEP_CONFIG, "jobs": 0, "log_transcripts": True}}),
      "jobs must be at least 1"),
+    (json.dumps({"command": "culture-export-boat", "config": {
+        "trials_per_round": 3, "seed": "x"}}), "unknown key 'seed'"),
 ], ids=["invalid-json", "not-an-object", "no-config", "config-not-an-object",
         "missing-key", "string-count", "bool-count", "long-pair",
         "world-not-an-object", "world-class-attribute", "float-jobs",
-        "zero-jobs"])
+        "zero-jobs", "unknown-keys"])
 def test_rerun_rejects_bad_manifest(capsys, tmp_path, text, reason):
     bad = tmp_path / "manifest.json"
     bad.write_text(text, encoding="utf-8")
