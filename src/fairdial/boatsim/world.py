@@ -51,7 +51,7 @@ OBJECTIVE = "objective"
 MODES = (NOMINAL, SUBJECTIVE, OBJECTIVE)
 
 _FINITE_CHECK_EVERY = 400  # ticks between non-finite state sweeps
-# A batch of courses preallocates a (ticks x courses x 6 x boats) float array,
+# A batch of courses preallocates a (ticks x courses x 5 x boats) float array,
 # so a config may ask for at most this many ticks (max_time / tick); the
 # default is 30,000.
 MAX_TICKS = 200_000

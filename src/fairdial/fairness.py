@@ -17,11 +17,11 @@ bit row per agent, so both losses are popcounts over those rows.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from ._util import extend_seed, iter_bits, seed_prefix
+from ._util import extend_seed, seed_prefix
 from .af import sceptically_accepted
 from .culture import OP, PR, ExpandedCulture
 from .dialogue import BUDGET_FORCED, RANDOM, DialogueResult, STRATEGIES, run_dispute
@@ -158,37 +158,31 @@ class PrecedenceGraph:
     """Digraph of settled precedence: arc (j, k) when j outranks k both ways.
 
     An arc requires agreement across the two orderings of the pair: j wins
-    as proponent against k, and k loses its own motion against j.  At most
-    one arc may join any two vertices.  ``out[j]`` and ``into[j]`` are bit
-    rows of the heads of j's arcs and of the tails of the arcs into j.
+    as proponent against k, and k loses its own motion against j.
+    ``out[j]`` and ``into[j]`` are bit rows of the heads of j's arcs and of
+    the tails of the arcs into j.  Built by ``precedence_graph``.
     """
 
-    n_agents: int
-    arcs: frozenset
-    out: tuple = field(init=False, repr=False, compare=False)
-    into: tuple = field(init=False, repr=False, compare=False)
+    out: tuple
+    into: tuple
 
-    def __post_init__(self):
-        n = self.n_agents
-        out = [0] * n
-        into = [0] * n
-        for j, k in self.arcs:
-            if not (0 <= j < n and 0 <= k < n) or j == k:
-                raise InputError(f"bad arc ({j}, {k})")
-            if out[k] >> j & 1:
-                raise InputError(f"pair {{{j}, {k}}} is arced both ways")
-            out[j] |= 1 << k
-            into[k] |= 1 << j
-        object.__setattr__(self, "out", tuple(out))
-        object.__setattr__(self, "into", tuple(into))
+    @property
+    def n_agents(self) -> int:
+        return len(self.out)
 
 
 def precedence_graph(matrix: OutcomeMatrix) -> PrecedenceGraph:
-    """Arc (j, k) when row j has bit k and row k lacks bit j."""
+    """Arc (j, k) when row j has bit k and row k lacks bit j.
+
+    ``cols[j]`` holds the agents that beat j, so no pair is arced both ways.
+    """
     rows = matrix.pr_wins
-    arcs = frozenset((j, k) for j, row in enumerate(rows)
-                     for k in iter_bits(row) if not rows[k] >> j & 1)
-    return PrecedenceGraph(n_agents=len(rows), arcs=arcs)
+    cols = [sum(1 << k for k, row in enumerate(rows) if row >> j & 1)
+            for j in range(len(rows))]
+    return PrecedenceGraph(
+        out=tuple(row & ~col for row, col in zip(rows, cols)),
+        into=tuple(col & ~row for row, col in zip(rows, cols)),
+    )
 
 
 def pair_census(g1: PrecedenceGraph, g2: PrecedenceGraph):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import csv
 import io
+import operator
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -58,7 +59,12 @@ class TrialConfig:
     def __post_init__(self):
         if self.n_agents < 2:
             raise InputError("need at least two agents")
-        grid = tuple(int(g) for g in self.budget_grid)
+        try:
+            grid = tuple(operator.index(g) for g in self.budget_grid)
+        except TypeError:
+            raise InputError(f"budgets must be integers: {self.budget_grid!r}") from None
+        if not grid:
+            raise InputError("budget grid must hold at least one budget")
         if any(g < 0 for g in grid):
             raise InputError("budgets must be non-negative")
         if list(grid) != sorted(set(grid)):

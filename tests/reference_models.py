@@ -16,7 +16,8 @@ reference for the vectorised ``boatsim.physics.step_arrays``.
 ``reference_arcs`` and ``reference_census`` build precedence arcs as a set
 of pairs from per-pair rulings and classify one vertex pair at a time: the
 reference for the bit-row ``fairness.precedence_graph`` and
-``fairness.pair_census``.
+``fairness.pair_census``.  ``graph_from_arcs`` goes the other way, building
+the production graph of an arc set through ``precedence_graph``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from fairdial.boatsim.physics import PhysicsParams
 from fairdial.culture import FACT, OP, PR, ROLES, ExpandedArgument, FeatureDescription
 from fairdial.dialogue import BUDGET_FORCED, CONVINCED, RANDOM, DialogueResult
 from fairdial.errors import InputError
+from fairdial.fairness import OutcomeMatrix, PrecedenceGraph, precedence_graph
 
 
 class Verdict(enum.Enum):
@@ -284,6 +286,28 @@ def reference_arcs(n: int, winners) -> frozenset:
         (j, k) for j in range(n) for k in range(n)
         if j != k and winners[j, k] == PR and winners[k, j] == OP
     )
+
+
+def graph_from_arcs(n: int, arcs) -> PrecedenceGraph:
+    """The graph ``precedence_graph`` builds from arcs joining each pair once.
+
+    Each arc (j, k) becomes a win of j over k as proponent, and k wins
+    nothing against j, so exactly ``arcs`` are settled both ways round.
+    """
+    rows = [0] * n
+    for j, k in arcs:
+        rows[j] |= 1 << k
+    return precedence_graph(OutcomeMatrix(tuple(rows)))
+
+
+def reference_rows(n: int, arcs):
+    """``(out, into)`` bit rows of an arc set."""
+    out = [0] * n
+    into = [0] * n
+    for j, k in arcs:
+        out[j] |= 1 << k
+        into[k] |= 1 << j
+    return tuple(out), tuple(into)
 
 
 def _arc_state(arcs, j: int, k: int) -> int:

@@ -331,6 +331,16 @@ def test_counts_below_one_are_usage_errors(capsys, tmp_path, argv):
     assert not out.exists()
 
 
+def test_sweep_rejects_an_empty_budget_grid(capsys, tmp_path):
+    out = tmp_path / "never"
+    code, _, err = run_cli(capsys, "sweep", "--agents", "4", "--args", "5",
+                           "--attacks", "7", "--budget-max", "-5",
+                           "--trials", "1", "--out", str(out))
+    assert code == 1 and err.startswith("fairdial:")
+    assert "at least one budget" in err
+    assert not out.exists()
+
+
 def test_rerun_reproduces_bytes(capsys, tmp_path):
     out = tmp_path / "first"
     code, _, _ = run_cli(
@@ -387,10 +397,12 @@ SWEEP_CONFIG = {
      "jobs must be at least 1"),
     (json.dumps({"command": "culture-export-boat", "config": {
         "trials_per_round": 3, "seed": "x"}}), "unknown key 'seed'"),
+    (json.dumps({"command": "sweep", "config": {**SWEEP_CONFIG, "budget_grid": []}}),
+     "at least one budget"),
 ], ids=["invalid-json", "not-an-object", "no-config", "config-not-an-object",
         "missing-key", "string-count", "bool-count", "long-pair",
         "world-not-an-object", "world-class-attribute", "float-jobs",
-        "zero-jobs", "unknown-keys"])
+        "zero-jobs", "unknown-keys", "empty-grid"])
 def test_rerun_rejects_bad_manifest(capsys, tmp_path, text, reason):
     bad = tmp_path / "manifest.json"
     bad.write_text(text, encoding="utf-8")

@@ -18,7 +18,6 @@ from fairdial.dialogue import STRATEGIES, run_dispute
 from fairdial.errors import InputError
 from fairdial.fairness import (
     OutcomeMatrix,
-    PrecedenceGraph,
     budget_records,
     dag_dissimilarity,
     dispute_records,
@@ -33,7 +32,13 @@ from fairdial.fairness import (
     theorem1_check,
 )
 from fairdial.randexp import TrialConfig, _population
-from reference_models import reference_arcs, reference_census, reference_dissimilarity
+from reference_models import (
+    graph_from_arcs,
+    reference_arcs,
+    reference_census,
+    reference_dissimilarity,
+    reference_rows,
+)
 
 
 def example_xc():
@@ -105,7 +110,8 @@ def test_precedence_requires_winning_both_orderings():
     # 0 beats 1 home and away; 0 vs 2: both win at home -> no arc;
     # 1 vs 2: agent 1 wins both orderings
     g = precedence_graph(m)
-    assert g.arcs == {(0, 1), (1, 2)}
+    assert (g.out, g.into) == reference_rows(3, {(0, 1), (1, 2)})
+    assert g.n_agents == 3
 
 
 def _random_rows(n, rng):
@@ -133,7 +139,8 @@ def test_bit_rows_match_arc_set_reference():
             assert ma.mismatches(mb) == sum(ra[p] != rb[p] for p in ra)
             arcs_a, arcs_b = reference_arcs(n, ra), reference_arcs(n, rb)
             ga, gb = precedence_graph(ma), precedence_graph(mb)
-            assert ga.arcs == arcs_a and gb.arcs == arcs_b
+            assert (ga.out, ga.into) == reference_rows(n, arcs_a)
+            assert (gb.out, gb.into) == reference_rows(n, arcs_b)
             assert pair_census(ga, gb) == reference_census(n, arcs_a, arcs_b)
             assert dag_dissimilarity(ga, gb) == reference_dissimilarity(
                 n, arcs_a, arcs_b)
@@ -145,31 +152,22 @@ def test_bit_rows_match_arc_set_reference():
                     OutcomeMatrix(tuple(broken))
 
 
-def test_precedence_graph_validation():
-    with pytest.raises(InputError):
-        PrecedenceGraph(n_agents=3, arcs=frozenset({(0, 1), (1, 0)}))
-    with pytest.raises(InputError):
-        PrecedenceGraph(n_agents=2, arcs=frozenset({(0, 2)}))
-    with pytest.raises(InputError):
-        PrecedenceGraph(n_agents=2, arcs=frozenset({(1, 1)}))
-
-
 def test_pair_census_frozen_cases():
-    g1 = PrecedenceGraph(3, frozenset({(0, 1), (1, 2)}))
-    g2 = PrecedenceGraph(3, frozenset({(1, 0), (1, 2)}))
+    g1 = graph_from_arcs(3, {(0, 1), (1, 2)})
+    g2 = graph_from_arcs(3, {(1, 0), (1, 2)})
     assert pair_census(g1, g2) == (1, 0, 1, 1)
     assert dag_dissimilarity(g1, g2) == Fraction(4, 3)
 
-    g3 = PrecedenceGraph(3, frozenset({(0, 1)}))
-    g4 = PrecedenceGraph(3, frozenset({(1, 0)}))
+    g3 = graph_from_arcs(3, {(0, 1)})
+    g4 = graph_from_arcs(3, {(1, 0)})
     assert pair_census(g3, g4) == (1, 0, 2, 0)
     assert dag_dissimilarity(g3, g4) == Fraction(5, 3)
 
     # joint absence always costs 1/3 per pair, even between identical graphs
     assert dag_dissimilarity(g1, g1) == Fraction(1, 3)
-    full = PrecedenceGraph(3, frozenset({(0, 1), (1, 2), (0, 2)}))
+    full = graph_from_arcs(3, {(0, 1), (1, 2), (0, 2)})
     assert dag_dissimilarity(full, full) == 0
-    empty = PrecedenceGraph(3, frozenset())
+    empty = graph_from_arcs(3, ())
     assert dag_dissimilarity(empty, empty) == 1  # 3 jointly absent pairs at 1/3
 
 
@@ -186,7 +184,7 @@ def test_pair_census_partitions_all_pairs():
                             arcs.add((j, k))
                         elif roll < 0.6:
                             arcs.add((k, j))
-                return PrecedenceGraph(n, frozenset(arcs))
+                return graph_from_arcs(n, arcs)
             census = pair_census(draw(), draw())
             assert sum(census) == n * (n - 1) // 2
             assert all(c >= 0 for c in census)
@@ -194,12 +192,12 @@ def test_pair_census_partitions_all_pairs():
 
 def test_census_mismatched_vertex_sets():
     with pytest.raises(InputError):
-        pair_census(PrecedenceGraph(2, frozenset()), PrecedenceGraph(3, frozenset()))
+        pair_census(graph_from_arcs(2, ()), graph_from_arcs(3, ()))
 
 
 def test_dissimilarity_is_exact_rational_arithmetic():
-    g1 = PrecedenceGraph(4, frozenset({(0, 1), (2, 3)}))
-    g2 = PrecedenceGraph(4, frozenset({(1, 0), (0, 2)}))
+    g1 = graph_from_arcs(4, {(0, 1), (2, 3)})
+    g2 = graph_from_arcs(4, {(1, 0), (0, 2)})
     rev, one, absent, agree = pair_census(g1, g2)
     expected = Fraction(rev) + Fraction(2, 3) * one + Fraction(1, 3) * absent
     k = dag_dissimilarity(g1, g2)
@@ -208,13 +206,13 @@ def test_dissimilarity_is_exact_rational_arithmetic():
 
 
 def test_global_losses_normalisation():
-    g1 = PrecedenceGraph(3, frozenset({(0, 1), (1, 2)}))
-    g2 = PrecedenceGraph(3, frozenset({(1, 0), (1, 2)}))
+    g1 = graph_from_arcs(3, {(0, 1), (1, 2)})
+    g2 = graph_from_arcs(3, {(1, 0), (1, 2)})
     k_raw, k_norm = global_losses(g1, g2)
     assert k_raw == Fraction(4, 3)
     assert k_norm == Fraction(4, 9)
     with pytest.raises(InputError):
-        global_losses(PrecedenceGraph(1, frozenset()), PrecedenceGraph(1, frozenset()))
+        global_losses(graph_from_arcs(1, ()), graph_from_arcs(1, ()))
 
 
 def test_dissimilarity_bounds():
@@ -230,7 +228,7 @@ def test_dissimilarity_bounds():
                         arcs.add((j, k))
                     elif roll < 0.8:
                         arcs.add((k, j))
-            return PrecedenceGraph(n, frozenset(arcs))
+            return graph_from_arcs(n, arcs)
         _, k_norm = global_losses(draw(), draw())
         assert 0 <= k_norm <= 1
 

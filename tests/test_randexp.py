@@ -241,6 +241,12 @@ def test_config_validation():
         TrialConfig(budget_grid=(5, 5))
     with pytest.raises(InputError):
         TrialConfig(budget_grid=(-5, 0))
+    with pytest.raises(InputError, match="at least one budget"):
+        TrialConfig(budget_grid=())
+    with pytest.raises(InputError, match="integers"):
+        TrialConfig(budget_grid=(2.5,))
+    with pytest.raises(InputError, match="integers"):
+        TrialConfig(budget_grid=(0, "10"))
     with pytest.raises(InputError):
         TrialConfig(strategies=("bold",))
     with pytest.raises(InputError):
