@@ -4,7 +4,7 @@ Every data-producing command writes its outputs plus a ``manifest.json``
 capturing the command, the fully resolved configuration and the seed, so
 ``fairdial rerun manifest.json`` reproduces the run byte for byte.  The
 root seed comes from ``--seed``, falling back to the ``FAIRDIAL_SEED``
-environment variable, then 0.
+environment variable, then 0; a non-integer value of either is a usage error.
 
 Exit codes: 0 success, 1 data or runtime error, 2 usage error,
 3 violated internal invariant (e.g. non-finite simulation state).
@@ -66,13 +66,6 @@ from .randexp import (
 )
 
 MANIFEST_NAME = "manifest.json"
-
-
-def _resolve_seed(value):
-    if value is not None:
-        return int(value)
-    env = os.environ.get("FAIRDIAL_SEED")
-    return int(env) if env else 0
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, outputs,
@@ -364,7 +357,7 @@ def _cmd_culture_random(args) -> int:
         "args": args.args,
         "attacks": args.attacks,
         "cost_range": [args.cost_min, args.cost_max],
-        "seed": _resolve_seed(args.seed),
+        "seed": args.seed,
         "filename": out.name,
     }
     return _run_command("culture-random", config, out.parent)
@@ -398,7 +391,7 @@ def _cmd_dispute(args) -> int:
     n_features = len(culture.non_motion_ids)
     d_pr = _parse_description(args.pr, n_features)
     d_op = _parse_description(args.op, n_features)
-    rng = random.Random(_resolve_seed(args.seed))
+    rng = random.Random(args.seed)
     g = None if args.budget < 0 else args.budget
     res = run_dispute(d_pr, d_op, xc, args.strategy, g, rng=rng)
     if args.json:
@@ -440,7 +433,7 @@ def _population_config(args) -> dict:
         "attacks": args.attacks,
         "cost_range": [args.cost_min, args.cost_max],
         "trials": args.trials,
-        "seed": _resolve_seed(args.seed),
+        "seed": args.seed,
         "jobs": args.jobs,
     }
 
@@ -469,7 +462,7 @@ def _cmd_boats(args) -> int:
         "strategy": args.strategy,
         "budget": args.budget,
         "trials": args.trials,
-        "seed": _resolve_seed(args.seed),
+        "seed": args.seed,
         "mode": args.mode,
         "world": world,
         "jobs": args.jobs,
@@ -616,6 +609,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) is None:
+        env = os.environ.get("FAIRDIAL_SEED") or "0"
+        try:
+            args.seed = int(env)
+        except ValueError:
+            parser.error(f"FAIRDIAL_SEED: invalid int value: {env!r}")
     try:
         return args.func(args)
     except SimulationFault as exc:

@@ -52,45 +52,70 @@ def run_dispute(pr_desc, op_desc, xc: ExpandedCulture, strategy: str, g,
     the affordable legal moves in ascending node order; min_cost, offensive
     and defensive take the lowest ``xc.strategy_keys`` entry (cost, most
     attacks made, fewest attacks received; ties to the lowest node id).
-    ``rng`` (a random.Random, default seed 0) is consulted only by the
-    random strategy.  ``true_facts``, when given, must equal
-    ``xc.true_fact_masks(pr_desc, op_desc)``.
-
-    A fact becomes usable once the adversary has uttered a node on its
-    feature, and only if it holds; unlocking is idempotent, so no record of
-    first disclosures is needed.  The mover's state sits in the ``*_me``
-    locals and is swapped with the other player's after every move.
+    ``rng`` (a random.Random, default seed 0, made only when a move can be
+    drawn) is consulted only by the random strategy.  A draw among ``c``
+    moves takes ``getrandbits(c.bit_length())`` until it is below ``c`` and
+    picks that set bit in ascending order: ``rng.choice`` over the ascending
+    moves, draw for draw, on the stream MT19937 fixes.  ``true_facts``, when
+    given, must equal ``xc.true_fact_masks(pr_desc, op_desc)``.
     """
+    check_strategy(strategy)
+    g = check_budget(g)
+    check_descriptions(xc, pr_desc, op_desc)
+    if true_facts is None:
+        true_facts = xc.true_fact_masks(pr_desc, op_desc)
+    return _play(xc, strategy, g, rng, true_facts)[0]
+
+
+def check_strategy(strategy):
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}")
-    if g is not None:
-        try:
-            g = operator.index(g)
-        except TypeError:
-            raise InputError(f"budget must be an integer or None, got {g!r}") from None
-        if g < 0:
-            raise InputError("budget must be non-negative")
+
+
+def check_budget(g):
+    """``g`` as an int, or None for unrestricted; InputError otherwise."""
+    if g is None:
+        return None
+    try:
+        g = operator.index(g)
+    except TypeError:
+        raise InputError(f"budget must be an integer or None, got {g!r}") from None
+    if g < 0:
+        raise InputError("budget must be non-negative")
+    return g
+
+
+def check_descriptions(xc: ExpandedCulture, pr_desc, op_desc):
     n_features = len(xc.base.non_motion_ids)
     if len(pr_desc) != n_features or len(op_desc) != n_features:
         raise InputError(f"descriptions must carry {n_features} feature values")
+
+
+def _play(xc: ExpandedCulture, strategy, g, rng, true_facts):
+    """Play a checked dispute: its result and the fact nodes whose truth it read.
+
+    A fact becomes usable once the adversary has uttered a node on its
+    feature, and only if it holds; unlocking is idempotent, so no record of
+    first disclosures is needed.  ``read`` gathers the facts each move can
+    unlock, so a deterministic dialogue plays alike for every pair that
+    agrees on which facts in ``read`` hold.  The mover's state sits in the
+    ``*_me`` locals and is swapped with the other player's after every move.
+    """
     motion = xc.motion_node
     costs = xc.costs
     if g is not None and costs[motion] > g:
         # the proponent cannot even table the motion
-        return DialogueResult(OP, (), {PR: 0, OP: 0}, BUDGET_FORCED)
+        return DialogueResult(OP, (), {PR: 0, OP: 0}, BUDGET_FORCED), 0
     if strategy == RANDOM:
-        if rng is None:
-            rng = random.Random(0)
-        choice = rng.choice
+        getrandbits = (rng or random.Random(0)).getrandbits
     else:
         keys = xc.strategy_keys[strategy]
-    if true_facts is None:
-        true_facts = xc.true_fact_masks(pr_desc, op_desc)
     attackers, targets, adv_fact = xc.attackers_mask, xc.targets_mask, xc.adv_fact
     aff, levels = xc.aff, xc.cost_levels
     # the motion is on the table; op moves next
     spent_me, spent_them = 0, costs[motion]
-    usable_me = xc.hyp_masks[1] | (adv_fact[motion] & true_facts[1])
+    read = adv_fact[motion]
+    usable_me = xc.hyp_masks[1] | (read & true_facts[1])
     usable_them = xc.hyp_masks[0]
     true_me, true_them = true_facts[1], true_facts[0]
     dead = (1 << motion) | targets[motion]  # uttered or attacked
@@ -107,12 +132,14 @@ def run_dispute(pr_desc, op_desc, xc: ExpandedCulture, strategy: str, g,
                 termination = BUDGET_FORCED
                 break
         if strategy == RANDOM:
-            pool = []
-            while legal:
-                low = legal & -legal
-                pool.append(low.bit_length() - 1)
-                legal ^= low
-            x = choice(pool)
+            c = legal.bit_count()
+            k = c.bit_length()
+            r = getrandbits(k)
+            while r >= c:
+                r = getrandbits(k)
+            for _ in range(r):
+                legal &= legal - 1
+            x = (legal & -legal).bit_length() - 1
         else:
             best = None
             while legal:
@@ -123,6 +150,7 @@ def run_dispute(pr_desc, op_desc, xc: ExpandedCulture, strategy: str, g,
                 legal ^= low
         transcript.append(x)
         dead |= (1 << x) | targets[x]
+        read |= adv_fact[x]
         usable_them |= adv_fact[x] & true_them
         spent_me += costs[x]
         last = x
@@ -138,4 +166,4 @@ def run_dispute(pr_desc, op_desc, xc: ExpandedCulture, strategy: str, g,
         tuple([moves[x] for x in transcript]),
         {PR: spent_pr, OP: spent_op},
         termination,
-    )
+    ), read

@@ -24,7 +24,8 @@ from itertools import permutations
 from ._util import extend_seed, seed_prefix
 from .af import sceptically_accepted
 from .culture import OP, PR, ExpandedCulture
-from .dialogue import BUDGET_FORCED, RANDOM, DialogueResult, STRATEGIES, run_dispute
+from .dialogue import (BUDGET_FORCED, RANDOM, STRATEGIES, DialogueResult, _play,
+                       check_budget, check_descriptions, check_strategy)
 from .errors import InputError
 
 Y1 = Fraction(2, 3)  # weight of one-sided disagreement
@@ -89,39 +90,49 @@ def budget_records(agents, xc: ExpandedCulture, strategy: str, budgets,
     ``pairs`` are the pairs to play, in order: every ordered pair for a
     population, each pair's oriented ``(pr, op)`` for a boat world.
     ``results[i]`` is the dispute at ``budgets[i]`` (``None`` is
-    unrestricted), exactly as a fresh ``run_dispute`` would play it.  The
-    random strategy draws from a seed stream per (seed, pair, strategy,
-    budget); a budget below the motion's cost ends before any draw, so it
-    seeds nothing.  A deterministic strategy walks the budgets from the largest
-    down and replays nothing while a budget covers the last dialogue's peak
-    per-player spend: a lower budget only removes candidates, so every pick
-    stays affordable and stays the lowest-key one, and a budget-forced end
-    stays forced.
+    unrestricted), exactly as a fresh ``run_dispute`` would play it, with
+    its checks made once per call (each pair's descriptions, per pair).  The
+    random strategy re-seeds one generator from a stream per (seed, pair,
+    strategy, budget); a budget below the motion's cost ends before any
+    draw, so it seeds nothing.  A deterministic strategy walks the budgets
+    from the largest down and replays nothing while a budget covers the
+    last dialogue's peak per-player spend: a lower budget only removes
+    candidates, so every pick stays affordable and stays the lowest-key one,
+    and a budget-forced end stays forced.  A replay reads its pair only
+    through the facts it unlocks, so a pair that agrees with an earlier
+    replay at that budget on those facts shares its (read-only) result.
     """
-    budgets = tuple(budgets)
+    check_strategy(strategy)
+    budgets = tuple(check_budget(g) for g in budgets)
     descending = sorted(range(len(budgets)),
                         key=lambda i: (budgets[i] is not None, -(budgets[i] or 0)))
     motion_cost = xc.costs[xc.motion_node]
+    rng = random.Random() if strategy == RANDOM else None
+    memo = {}  # budget -> [(read, truth, result)]
     for j, k in pairs:
         pr, op = agents[j], agents[k]
+        check_descriptions(xc, pr, op)
         true_facts = xc.true_fact_masks(pr, op)
         results = [None] * len(budgets)
         if strategy == RANDOM:
             prefix = seed_prefix(seed, "dlg", j, k, strategy)
             for i, g in enumerate(budgets):
-                rng = None
                 if g is None or g >= motion_cost:
-                    g_key = -1 if g is None else g
-                    rng = random.Random(extend_seed(prefix, g_key))
-                results[i] = run_dispute(pr, op, xc, strategy, g, rng=rng,
-                                         true_facts=true_facts)
+                    rng.seed(extend_seed(prefix, -1 if g is None else g))
+                results[i] = _play(xc, strategy, g, rng, true_facts)[0]
         else:
+            facts = true_facts[0] | true_facts[1]  # pr and op facts are distinct nodes
             last = peak = None
             for i in descending:
                 g = budgets[i]
                 if last is None or (g is not None and g < peak):
-                    last = run_dispute(pr, op, xc, strategy, g,
-                                       true_facts=true_facts)
+                    seen = memo.setdefault(g, [])
+                    for read, truth, last in seen:
+                        if facts & read == truth:
+                            break
+                    else:
+                        last, read = _play(xc, strategy, g, None, true_facts)
+                        seen.append((read, facts & read, last))
                     peak = max(last.spent.values())
                 results[i] = last
         yield j, k, results

@@ -536,24 +536,27 @@ def test_default_trial_sails_six_courses(batches, monkeypatch):
 
     monkeypatch.setattr(harness_module, "run_boat_trial", spy)
     disputes, expansions = [], []
-    dispute, expand_culture = fairness_module.run_dispute, world_module.expand
+    dispute, expand_culture = fairness_module._play, world_module.expand
 
     def played(*args, **kwargs):
-        disputes.append(args[3:5])
+        disputes.append(args[1:3])
         return dispute(*args, **kwargs)
 
     def expanded(culture):
         expansions.append(culture)
         return expand_culture(culture)
 
-    monkeypatch.setattr(fairness_module, "run_dispute", played)
+    monkeypatch.setattr(fairness_module, "_play", played)
     monkeypatch.setattr(world_module, "expand", expanded)
     _run_one_trial((cfg, 0))
-    # each strategy's 120 pairs are played once, for nominal and
-    # subjective alike, from one expansion of the boat culture
+    # each strategy's 120 pairs are played at most once, for nominal and
+    # subjective alike, from one expansion of the boat culture; random plays
+    # every pair, a deterministic strategy once per distinct fact reading
     assert len(expansions) == 1
     assert sorted(set(disputes)) == sorted((s, 30) for s in STRATEGIES)
-    assert len(disputes) == 4 * 120
+    assert disputes.count(("random", 30)) == 120
+    for s in ("min_cost", "offensive", "defensive"):
+        assert 1 <= disputes.count((s, 30)) <= 120
     assert batches == [6]  # one batch of 6 courses
     assert served == [True] * 9  # every variant came from the table
     assert len(worlds) == 1  # all 9 calls were served by one sailed world

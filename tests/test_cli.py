@@ -232,13 +232,13 @@ TINY_SWEEP = ("sweep", "--agents", "4", "--args", "5", "--attacks", "7",
 
 def test_logged_sweep_plays_each_dialogue_once(capsys, tmp_path, monkeypatch):
     calls = []
-    play = fairness.run_dispute
+    play = fairness._play
 
     def counted(*args, **kwargs):
         calls[-1] += 1
         return play(*args, **kwargs)
 
-    monkeypatch.setattr(fairness, "run_dispute", counted)
+    monkeypatch.setattr(fairness, "_play", counted)
     for log in ((), ("--log-transcripts",)):
         calls.append(0)
         out = tmp_path / f"run{len(log)}"
@@ -631,6 +631,20 @@ def test_seed_falls_back_to_environment(capsys, tmp_path, monkeypatch):
     run_cli(capsys, "culture", "random", "--args", "5", "--attacks", "6",
             "--seed", "77", "-o", str(out2))
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["sweep", "boats"])
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_malformed_environment_seed_is_a_usage_error(capsys, tmp_path, monkeypatch,
+                                                     command, value):
+    monkeypatch.setenv("FAIRDIAL_SEED", value)
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--trials", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"fairdial: error: FAIRDIAL_SEED: invalid int value: {value!r}" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_installed_entry_point_runs():

@@ -471,9 +471,34 @@ class CountingRandom:
         return random.Random(seed)
 
 
+class SeedLog(random.Random):
+    """A generator that logs every seed it is given once ``log`` is set."""
+
+    log = None
+
+    def seed(self, a=None, version=2):
+        if self.log is not None:
+            self.log.append(a)
+        super().seed(a, version)
+
+
+class ReusedRandom:
+    """Stands in for the ``random`` module and logs its generators' seeds."""
+
+    def __init__(self):
+        self.made = 0
+        self.seeds = []
+
+    def Random(self):
+        self.made += 1
+        rng = SeedLog()
+        rng.log = self.seeds
+        return rng
+
+
 def test_kernel_replays_reference_on_headline_trials(monkeypatch):
     """Every dialogue of three headline trials, as the sweep plays them."""
-    counter = CountingRandom()
+    counter = ReusedRandom()
     monkeypatch.setattr(fairness, "random", counter)
     for tseed in trial_seeds(61, 3):
         cfg = TrialConfig(seed=tseed)
@@ -482,6 +507,7 @@ def test_kernel_replays_reference_on_headline_trials(monkeypatch):
         assert min(cfg.budgets[:-1]) < motion_cost  # some dialogues cannot draw
         for strategy in STRATEGIES:
             counter.seeds.clear()
+            counter.made = 0
             drawn = []
             pairs = permutations(range(len(agents)), 2)
             for j, k, results in budget_records(agents, xc, strategy, cfg.budgets,
@@ -495,9 +521,10 @@ def test_kernel_replays_reference_on_headline_trials(monkeypatch):
                     assert _outcome(res) == _outcome(want), (strategy, j, k, g)
                     if strategy == "random" and (g is None or g >= motion_cost):
                         drawn.append(seed)
-            # a seeded generator for every random dialogue that can draw, and
-            # for no other
+            # one generator per call, re-seeded for every random dialogue that
+            # can draw, and for no other
             assert counter.seeds == drawn
+            assert counter.made == (strategy == "random")
 
 
 def test_default_rng_only_for_dialogues_that_can_draw(monkeypatch):

@@ -14,7 +14,8 @@ from fairdial.culture import (
     expand,
     generate_random_culture,
 )
-from fairdial.dialogue import STRATEGIES, run_dispute
+from fairdial import fairness
+from fairdial.dialogue import STRATEGIES, _play, run_dispute
 from fairdial.errors import InputError
 from fairdial.fairness import (
     OutcomeMatrix,
@@ -314,6 +315,73 @@ def test_budget_records_match_fresh_disputes_on_small_cultures():
         pairs.append(pairs[0])
         _assert_budget_records_match_fresh(
             agents, xc, tuple(order) + (order[0],), trial, pairs)
+
+
+def _counting_play(monkeypatch):
+    calls = []
+    play = fairness._play
+
+    def counted(xc, strategy, g, rng, true_facts):
+        calls.append((strategy, g))
+        return play(xc, strategy, g, rng, true_facts)
+
+    monkeypatch.setattr(fairness, "_play", counted)
+    return calls
+
+
+def test_pairs_that_agree_on_every_read_fact_share_one_dialogue(monkeypatch):
+    xc = example_xc()
+    # offensive, unrestricted, reads only whether pr's health beats op's
+    agents = [FeatureDescription(v) for v in ((1, 1), (0, 1), (2, 1), (1, 0))]
+    masks = [xc.true_fact_masks(agents[0], op) for op in agents[1:]]
+    assert masks[0] != masks[1]  # the first two pairs differ on age facts
+    calls = _counting_play(monkeypatch)
+    pairs = [(0, 1), (0, 2), (0, 3)]
+    (_, _, (a,)), (_, _, (b,)), (_, _, (c,)) = budget_records(
+        agents, xc, "offensive", (None,), 0, pairs)
+    assert a is b
+    assert c is not a and c.transcript != a.transcript  # health is read
+    assert calls == [("offensive", None)] * 2
+    _assert_budget_records_match_fresh(agents, xc, (None,), 0, pairs)
+
+
+def test_one_play_per_budget_and_read_pattern(monkeypatch):
+    cfg = TrialConfig(seed=derive_seed(4, "trial", 0))
+    xc, agents = _population(cfg)
+    masks = [xc.true_fact_masks(agents[j], agents[k])
+             for j, k in permutations(range(len(agents)), 2)]
+    calls = _counting_play(monkeypatch)
+    for strategy in STRATEGIES[1:]:
+        for g in cfg.budgets:
+            classes = set()
+            for true_facts in masks:
+                _, read = _play(xc, strategy, g, None, true_facts)
+                classes.add((read, (true_facts[0] | true_facts[1]) & read))
+            calls.clear()
+            pairs = permutations(range(len(agents)), 2)
+            for _ in budget_records(agents, xc, strategy, (g,), cfg.seed, pairs):
+                pass
+            assert len(calls) == len(classes) < len(masks), (strategy, g)
+
+
+def test_budget_records_checks_like_run_dispute_before_any_pair():
+    xc = example_xc()
+    good, bad = FeatureDescription((1, 2)), FeatureDescription((1, 2, 3))
+    cases = [  # strategy, budgets, agents
+        ("chess", (None,), [good, good]),
+        ("min_cost", (None, -1), [good, good]),
+        ("random", (3, 2.5), [good, good]),
+        ("offensive", ("7",), [good, good]),
+        ("defensive", (None,), [good, bad]),
+        ("random", (0,), [bad, good]),
+    ]
+    for strategy, budgets, agents in cases:
+        with pytest.raises(InputError) as want:
+            for g in budgets:
+                run_dispute(agents[0], agents[1], xc, strategy, g)
+        with pytest.raises(InputError) as got:
+            next(budget_records(agents, xc, strategy, budgets, 0, [(0, 1)]))
+        assert str(got.value) == str(want.value)
 
 
 # ------------------------------------------------------------ theorem check
