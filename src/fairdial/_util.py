@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import os
 
 from .errors import InputError
@@ -66,6 +65,8 @@ def parallel_map(fn, tasks, jobs: int = 1):
     if jobs == 1:
         yield from map(fn, tasks)
         return
+    import multiprocessing  # only a pool needs it; a serial run skips the import
+
     with multiprocessing.get_context("spawn").Pool(processes=jobs) as pool:
         yield from pool.imap(fn, tasks)
 

@@ -126,11 +126,14 @@ def _admissible_mask(mask, att_by, att_to) -> bool:
     return True
 
 
-def _grounded_split(att_by, att_to, alive):
+def _grounded_split(att_by, att_to, alive, stop=0):
     """Grounded labelling of the subframework induced by ``alive``.
 
     Returns (in_mask, out_mask).  Arguments of ``alive`` not in either mask
-    are undecided (labelled UNDEC by the grounded labelling).
+    are undecided (labelled UNDEC by the grounded labelling).  Labels only
+    grow from round to round, so once an argument of ``stop`` is labelled
+    it keeps its label, and the labelling ends there: the masks are then
+    partial, and only that argument's label may be read off them.
     """
     in_mask = 0
     out_mask = 0
@@ -158,6 +161,8 @@ def _grounded_split(att_by, att_to, alive):
         newly_out &= undecided
         out_mask |= newly_out
         undecided &= ~newly_out
+        if stop & ~undecided:
+            return in_mask, out_mask
 
 
 def _max_admissible_in(domain, att_by, att_to):
@@ -368,7 +373,7 @@ def sceptically_accepted(x: int, af: Framework, alive: int | None = None) -> boo
         raise InputError(f"alive mask must lie within the framework and hold {x}")
     att_by = af.attacker_masks
     att_to = af.target_masks
-    in0, out0 = _grounded_split(att_by, att_to, alive)
+    in0, out0 = _grounded_split(att_by, att_to, alive, stop=bit)
     if bit & in0:
         return True  # grounded IN is part of every preferred extension
     if bit & out0:

@@ -72,11 +72,13 @@ def _run_one_trial(args):
         init_parade(derive_seed(cfg.seed, "world", trial), cfg.world), variants)
     objective = run_boat_trial(world, None, None, OBJECTIVE)
     summaries = []
+    compared = {}  # Fréchet comparisons of this world's courses
     for strategy in cfg.strategies:
         nominal = run_boat_trial(world, strategy, cfg.g, NOMINAL)
         subjective = run_boat_trial(world, strategy, cfg.g, SUBJECTIVE)
         losses = global_trajectory_losses(nominal, subjective, objective,
-                                          literal_gap=cfg.literal_gap)
+                                          literal_gap=cfg.literal_gap,
+                                          memo=compared)
         comfort = tuple(
             comfort_metrics(nominal.telemetry[i], nominal.trajectories[i],
                             top_speed=cfg.world.physics.top_speed)

@@ -82,7 +82,8 @@ class TrajectoryLosses:
 def global_trajectory_losses(nominal: BoatTrialResult,
                              subjective: BoatTrialResult,
                              objective: BoatTrialResult,
-                             literal_gap: bool = False) -> TrajectoryLosses:
+                             literal_gap: bool = False,
+                             memo: dict | None = None) -> TrajectoryLosses:
     """Fréchet distortion per agent across the three worlds of one trial.
 
     ``literal_gap`` switches the subjectivity gap to the nominal-versus-
@@ -90,16 +91,31 @@ def global_trajectory_losses(nominal: BoatTrialResult,
     objective reading; that comparison is then computed once for both.
     Each comparison is one batched Fréchet sweep over all agents, whose
     traces share a length within a world.
+
+    Variants that sailed one course share its trajectory tuple.  A course
+    compared with itself is 0.0 for every agent, with no sweep.  ``memo``
+    keeps each comparison by the identity of its two trajectory tuples,
+    so a caller that passes one dict for the variants of one sailed world
+    sweeps a comparison repeated across strategies once.  It must not
+    outlive those results, whose ids it holds.
     """
     n = len(nominal.trajectories)
     if not (len(subjective.trajectories) == len(objective.trajectories) == n):
         raise InputError("trials must cover the same agents")
-    j_n, j_s, j_o = (
-        [decimate_positions(tr) for tr in res.trajectories]
-        for res in (nominal, subjective, objective)
-    )
-    omega = frechet_pairs(j_n, j_o)
-    omega_p = frechet_pairs(j_n, j_s)
-    gap = omega_p if literal_gap else frechet_pairs(j_s, j_o)
-    return TrajectoryLosses(omega=tuple(omega), omega_p=tuple(omega_p),
-                            gap=tuple(gap))
+    if memo is None:
+        memo = {}
+
+    def compare(a, b):
+        if a.trajectories is b.trajectories:
+            return (0.0,) * n
+        key = id(a.trajectories), id(b.trajectories)
+        if key not in memo:
+            memo[key] = tuple(frechet_pairs(
+                [decimate_positions(tr) for tr in a.trajectories],
+                [decimate_positions(tr) for tr in b.trajectories]))
+        return memo[key]
+
+    omega = compare(nominal, objective)
+    omega_p = compare(nominal, subjective)
+    gap = omega_p if literal_gap else compare(subjective, objective)
+    return TrajectoryLosses(omega=omega, omega_p=omega_p, gap=gap)

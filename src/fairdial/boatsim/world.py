@@ -39,16 +39,12 @@ from ..culture import (
 )
 from ..dialogue import BUDGET_FORCED, STRATEGIES
 from ..errors import CapacityError, InputError, SimulationFault
-from ..fairness import budget_records, objective_outcome
+from ..fairness import (MODES, NOMINAL, OBJECTIVE, SUBJECTIVE, budget_records,
+                        objective_outcome)
 from .physics import PhysicsParams, is_finite_real, step_arrays
 
 WEST = "west"
 EAST = "east"
-
-NOMINAL = "nominal"
-SUBJECTIVE = "subjective"
-OBJECTIVE = "objective"
-MODES = (NOMINAL, SUBJECTIVE, OBJECTIVE)
 
 _FINITE_CHECK_EVERY = 400  # ticks between non-finite state sweeps
 # A batch of courses preallocates a (ticks x courses x 5 x boats) float array,

@@ -27,21 +27,6 @@ from pathlib import Path
 from . import __version__
 from ._util import derive_seed
 from .af import emit_framework, parse_framework, preferred_extensions, sceptically_accepted
-from .boatsim import (
-    BoatExperimentConfig,
-    MODES,
-    OBJECTIVE,
-    PhysicsParams,
-    WorldConfig,
-    encounter_rows,
-    init_parade,
-    run_boat_experiment,
-    run_boat_trial,
-    sail_variants,
-    write_boat_encounters_csv,
-    write_boat_summary_csv,
-    write_trajectory_csv,
-)
 from .culture import (
     FeatureDescription,
     builtin_boat_culture,
@@ -52,6 +37,7 @@ from .culture import (
 )
 from .dialogue import STRATEGIES, run_dispute
 from .errors import FairdialError, InputError, SimulationFault
+from .fairness import MODES, OBJECTIVE
 from .randexp import (
     TrialConfig,
     ecdf_privacy_cost,
@@ -66,6 +52,30 @@ from .randexp import (
 )
 
 MANIFEST_NAME = "manifest.json"
+
+# fairdial.boatsim, and numpy with it, is imported only once a boat run
+# executes; these of its names then become attributes of this module.
+_BOATSIM_NAMES = (
+    "BoatExperimentConfig", "PhysicsParams", "WorldConfig", "encounter_rows",
+    "init_parade", "run_boat_experiment", "run_boat_trial", "sail_variants",
+    "write_boat_encounters_csv", "write_boat_summary_csv",
+    "write_trajectory_csv",
+)
+
+
+def _load_boatsim():
+    """Bind ``_BOATSIM_NAMES`` here, keeping any binding already set."""
+    from . import boatsim
+
+    for name in _BOATSIM_NAMES:
+        globals().setdefault(name, getattr(boatsim, name))
+
+
+def __getattr__(name):
+    if name in _BOATSIM_NAMES:
+        _load_boatsim()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, outputs,
@@ -124,6 +134,11 @@ def _execute_ecdf(config: dict, out_dir: Path):
 
 
 def _world_config_from(doc) -> WorldConfig:
+    """The WorldConfig of a boats config.
+
+    Every boat run calls this first, so this is where fairdial.boatsim loads.
+    """
+    _load_boatsim()
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):

@@ -28,6 +28,14 @@ from .dialogue import (BUDGET_FORCED, RANDOM, STRATEGIES, DialogueResult, _play,
                        check_budget, check_descriptions, check_strategy)
 from .errors import InputError
 
+# How a boat encounter is ruled: by the pair's dialogue (nominal), by the
+# dialogue with a budget-forced loser refusing to yield (subjective), or by
+# the full-information referee (objective).
+NOMINAL = "nominal"
+SUBJECTIVE = "subjective"
+OBJECTIVE = "objective"
+MODES = (NOMINAL, SUBJECTIVE, OBJECTIVE)
+
 Y1 = Fraction(2, 3)  # weight of one-sided disagreement
 Y2 = Fraction(1, 3)  # weight of joint absence
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fairdial.af import (
     Framework,
     ORACLE_MAX_ARGS,
+    _grounded_split,
     emit_framework,
     is_admissible,
     parse_framework,
@@ -174,6 +175,21 @@ def test_sceptical_on_alive_mask_matches_built_subframework():
             expected = all(index[x] in e for e in exts)
             assert sceptically_accepted(x, af, alive) == expected
             assert sceptically_accepted(index[x], sub) == expected
+
+
+def test_grounded_split_stopped_at_an_argument_labels_it_as_the_full_split():
+    rng = random.Random(43)
+    for _ in range(300):
+        af = random_framework(rng, max_args=10)
+        alive = rng.getrandbits(af.n_args)
+        by, to = af.attacker_masks, af.target_masks
+        full_in, full_out = _grounded_split(by, to, alive)
+        for x in range(af.n_args):
+            if alive >> x & 1:
+                part_in, part_out = _grounded_split(by, to, alive, stop=1 << x)
+                assert (part_in >> x & 1, part_out >> x & 1) == (
+                    full_in >> x & 1, full_out >> x & 1)
+                assert part_in & ~full_in == 0 and part_out & ~full_out == 0
 
 
 @settings(max_examples=150, deadline=None)

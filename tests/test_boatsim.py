@@ -16,7 +16,9 @@ from fairdial import boatsim
 from fairdial import fairness as fairness_module
 from fairdial._util import derive_seed
 from fairdial.boatsim import harness as harness_module
+from fairdial.boatsim import metrics as metrics_module
 from fairdial.boatsim import world as world_module
+from fairdial.boatsim.frechet import discrete_frechet
 from fairdial.boatsim.harness import (
     BoatExperimentConfig,
     _run_one_trial,
@@ -854,6 +856,52 @@ def test_literal_gap_reuses_the_nominal_subjective_comparison():
         forced = any(e.termination == "budget_forced" for e in nominal.encounters)
         # refusing to yield only happens after a budget-forced ruling
         assert (max(default.omega_p) > 0.0) == forced
+
+
+def _wandering_course(rng, n_agents=3, n=121):
+    """Trajectories of ``n_agents`` boats on seeded random walks."""
+    ts = np.arange(n) * 0.05
+    return tuple(
+        Trajectory(ts=ts, xs=np.cumsum(rng.normal(1.5, 1.0, n)),
+                   ys=np.cumsum(rng.normal(0.0, 1.0, n)),
+                   headings=np.zeros(n), speeds=np.full(n, 30.0))
+        for _ in range(n_agents)
+    )
+
+
+def test_shared_frechet_memo_matches_per_pair_distances(monkeypatch):
+    rng = np.random.default_rng(3)
+    a, b, c = (_wandering_course(rng) for _ in range(3))
+    objective = _result_from(a)
+    # strategy 1 sails the objective course nominally; strategy 2 repeats
+    # strategy 1's (nominal, subjective) pair in fresh result objects
+    variants = [(_result_from(a), _result_from(b)),
+                (_result_from(a), _result_from(b)),
+                (_result_from(c), _result_from(b))]
+    swept = []
+    frechet_pairs = metrics_module.frechet_pairs
+
+    def counted(curves_a, curves_b):
+        swept.append(len(curves_a))
+        return frechet_pairs(curves_a, curves_b)
+
+    monkeypatch.setattr(metrics_module, "frechet_pairs", counted)
+    memo = {}
+
+    def bits(values):
+        return [float(v).hex() for v in values]
+
+    for nominal, subjective in variants:
+        losses = global_trajectory_losses(nominal, subjective, objective, memo=memo)
+        for got, first, second in ((losses.omega, nominal, objective),
+                                   (losses.omega_p, nominal, subjective),
+                                   (losses.gap, subjective, objective)):
+            assert bits(got) == bits(
+                discrete_frechet(decimate_positions(p), decimate_positions(q))
+                for p, q in zip(first.trajectories, second.trajectories))
+    # distinct comparisons (a, b), (b, a), (c, a), (c, b); (a, a) is never swept
+    assert swept == [3] * 4
+    assert global_trajectory_losses(*variants[0], objective).omega == (0.0,) * 3
 
 
 # ----------------------------------------------------------------- harness

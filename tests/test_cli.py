@@ -660,6 +660,89 @@ def test_installed_entry_point_runs():
     assert proc.stdout.strip()
 
 
+# Runs each command in one fresh process and prints which of numpy and
+# multiprocessing are loaded after each step.
+IMPORT_PROBE = """
+import json, sys
+from pathlib import Path
+
+from fairdial.cli import main
+
+out, world = Path(sys.argv[1]), sys.argv[2]
+population = ["--agents", "4", "--args", "5", "--attacks", "7", "--trials", "1"]
+steps = {
+    "import": None,
+    "sweep": ["sweep", *population, "--out", str(out / "sweep")],
+    "rerun sweep": ["rerun", str(out / "sweep" / "manifest.json"),
+                    "--out", str(out / "rerun")],
+    "ecdf": ["ecdf", *population, "--jobs", "1", "--out", str(out / "ecdf")],
+    "boats": ["boats", "--trials", "1", "--strategy", "min_cost",
+              "--config", world, "--out", str(out / "boats")],
+}
+loaded = {}
+for step, argv in steps.items():
+    code = 0 if argv is None else main(argv)
+    loaded[step] = [code, sorted({"numpy", "multiprocessing"} & set(sys.modules))]
+print(json.dumps(loaded))
+"""
+
+
+def test_only_a_boat_run_imports_numpy(tmp_path):
+    world = tmp_path / "world.json"
+    world.write_text(json.dumps(
+        {"arena_length": 3000.0, "n_agents": 2, "max_time": 300.0}),
+        encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(tmp_path), str(world)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "import": [0, []],
+        "sweep": [0, []],
+        "rerun sweep": [0, []],
+        "ecdf": [0, []],
+        "boats": [0, ["numpy"]],
+    }
+    assert (tmp_path / "boats" / "boats_summary.csv").exists()
+
+
+def test_commands_call_the_patched_module_bindings(capsys, tmp_path, monkeypatch):
+    # The benchmark times and counts a run by replacing these attributes of
+    # fairdial.cli, before or after the boat names are first bound there.
+    from fairdial import boatsim
+
+    calls = []
+
+    def spy(name, real):
+        def called(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return called
+
+    for name in cli._BOATSIM_NAMES:  # unbound, as in a fresh process
+        monkeypatch.delitem(vars(cli), name, raising=False)
+    for name in ("run_boat_experiment", "write_boat_summary_csv",
+                 "write_boat_encounters_csv"):
+        monkeypatch.setitem(vars(cli), name, spy(name, getattr(boatsim, name)))
+    monkeypatch.setattr(cli, "sweep", spy("sweep", randexp.sweep))
+    world = tmp_path / "world.json"
+    world.write_text(json.dumps(
+        {"arena_length": 3000.0, "n_agents": 2, "max_time": 300.0}),
+        encoding="utf-8")
+    code, _, _ = run_cli(capsys, "boats", "--trials", "1", "--strategy",
+                         "min_cost", "--config", str(world),
+                         "--out", str(tmp_path / "boats"))
+    assert code == 0
+    code, _, _ = run_cli(capsys, "sweep", "--agents", "4", "--args", "5",
+                         "--attacks", "7", "--trials", "1",
+                         "--out", str(tmp_path / "sweep"))
+    assert code == 0
+    assert calls == ["run_boat_experiment", "write_boat_summary_csv",
+                     "write_boat_encounters_csv", "sweep"]
+
+
 def _write_one_then_fail(config, out_dir):
     (out_dir / "sweep.csv").write_text("partial\n", encoding="utf-8")
     raise InputError("disk full")

@@ -1,6 +1,7 @@
 """Budget sweeps, ECDF tables and their CSV shapes."""
 
 import csv
+import multiprocessing
 from itertools import permutations
 
 import pytest
@@ -129,7 +130,7 @@ def test_parallel_map_never_asks_for_more_workers_than_cpus(monkeypatch):
         raise AssertionError("no worker process may start")
 
     monkeypatch.setattr(_util.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(_util.multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
     assert list(_util.parallel_map(abs, [-1, 2, -3], jobs=10**9)) == [1, 2, 3]
 
 
