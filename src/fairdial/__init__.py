@@ -37,20 +37,15 @@ from .errors import (
 from .fairness import (
     OutcomeMatrix,
     PrecedenceGraph,
-    Theorem1Report,
     dag_dissimilarity,
     global_losses,
     ground_truth_matrix,
-    objective_local_loss,
     objective_outcome,
     pair_census,
     precedence_graph,
-    result_matrix,
-    subjective_local_loss,
-    theorem1_check,
 )
 from .randexp import TrialConfig, TrialRow, ecdf_privacy_cost, run_trial, sweep
-from .stats import TTestResult, mean_ci99, t_test
+from .stats import mean_ci99
 
 __version__ = "0.1.0"
 
@@ -69,11 +64,10 @@ __all__ = [
     # dialogues
     "Move", "DialogueResult", "STRATEGIES", "run_dispute",
     # fairness
-    "OutcomeMatrix", "PrecedenceGraph", "Theorem1Report",
-    "objective_outcome", "ground_truth_matrix", "result_matrix",
-    "objective_local_loss", "subjective_local_loss", "precedence_graph",
-    "pair_census", "dag_dissimilarity", "global_losses", "theorem1_check",
+    "OutcomeMatrix", "PrecedenceGraph", "objective_outcome",
+    "ground_truth_matrix", "precedence_graph", "pair_census",
+    "dag_dissimilarity", "global_losses",
     # experiments and stats
     "TrialConfig", "TrialRow", "run_trial", "sweep", "ecdf_privacy_cost",
-    "TTestResult", "t_test", "mean_ci99",
+    "mean_ci99",
 ]

@@ -6,7 +6,7 @@ import csv
 from dataclasses import dataclass
 
 from .._util import derive_seed, fmt_num, parallel_map
-from ..dialogue import BUDGET_FORCED, STRATEGIES
+from ..dialogue import STRATEGIES
 from ..errors import InputError
 from .metrics import DEFAULT_STRIDE, comfort_metrics, global_trajectory_losses
 from .world import (
@@ -59,7 +59,6 @@ class BoatTrialSummary:
     losses: object  # TrajectoryLosses
     comfort: tuple  # per-agent ComfortMetrics from the nominal run
     encounters: dict  # mode -> tuple of Encounter
-    budget_forced: int  # nominal-mode count
 
 
 def _run_one_trial(args):
@@ -84,9 +83,6 @@ def _run_one_trial(args):
                             top_speed=cfg.world.physics.top_speed)
             for i in range(cfg.world.n_agents)
         )
-        forced = sum(
-            1 for e in nominal.encounters if e.termination == BUDGET_FORCED
-        )
         summaries.append(
             BoatTrialSummary(
                 trial=trial,
@@ -98,7 +94,6 @@ def _run_one_trial(args):
                     SUBJECTIVE: subjective.encounters,
                     OBJECTIVE: objective.encounters,
                 },
-                budget_forced=forced,
             )
         )
     return summaries

@@ -43,7 +43,7 @@ class DialogueResult:
 
 
 def run_dispute(pr_desc, op_desc, xc: ExpandedCulture, strategy: str, g,
-                rng=None, *, true_facts=None) -> DialogueResult:
+                rng=None) -> DialogueResult:
     """Play one dispute to completion and classify its termination.
 
     ``g`` is the per-player privacy budget, an integer; ``None`` means
@@ -56,15 +56,12 @@ def run_dispute(pr_desc, op_desc, xc: ExpandedCulture, strategy: str, g,
     drawn) is consulted only by the random strategy.  A draw among ``c``
     moves takes ``getrandbits(c.bit_length())`` until it is below ``c`` and
     picks that set bit in ascending order: ``rng.choice`` over the ascending
-    moves, draw for draw, on the stream MT19937 fixes.  ``true_facts``, when
-    given, must equal ``xc.true_fact_masks(pr_desc, op_desc)``.
+    moves, draw for draw, on the stream MT19937 fixes.
     """
     check_strategy(strategy)
     g = check_budget(g)
     check_descriptions(xc, pr_desc, op_desc)
-    if true_facts is None:
-        true_facts = xc.true_fact_masks(pr_desc, op_desc)
-    return _play(xc, strategy, g, rng, true_facts)[0]
+    return _play(xc, strategy, g, rng, xc.true_fact_masks(pr_desc, op_desc))[0]
 
 
 def check_strategy(strategy):

@@ -24,8 +24,8 @@ from itertools import permutations
 from ._util import extend_seed, seed_prefix
 from .af import sceptically_accepted
 from .culture import OP, PR, ExpandedCulture
-from .dialogue import (BUDGET_FORCED, RANDOM, STRATEGIES, DialogueResult, _play,
-                       check_budget, check_descriptions, check_strategy)
+from .dialogue import (RANDOM, _play, check_budget, check_descriptions,
+                       check_strategy)
 from .errors import InputError
 
 # How a boat encounter is ruled: by the pair's dialogue (nominal), by the
@@ -153,25 +153,6 @@ def dispute_records(agents, xc: ExpandedCulture, strategy: str, g, seed: int):
         yield j, k, res
 
 
-def result_matrix(agents, xc: ExpandedCulture, strategy: str, g,
-                  seed: int) -> OutcomeMatrix:
-    rows = [0] * len(agents)
-    for j, k, res in dispute_records(agents, xc, strategy, g, seed):
-        if res.winner == PR:
-            rows[j] |= 1 << k
-    return OutcomeMatrix(tuple(rows))
-
-
-def objective_local_loss(gt_entry: str, re_entry: str) -> int:
-    """1 when the dialogue outcome contradicts the referee, else 0."""
-    return 0 if gt_entry == re_entry else 1
-
-
-def subjective_local_loss(result: DialogueResult) -> int:
-    """1 when the dialogue was decided by budget exhaustion, else 0."""
-    return 1 if result.termination == BUDGET_FORCED else 0
-
-
 @dataclass(frozen=True)
 class PrecedenceGraph:
     """Digraph of settled precedence: arc (j, k) when j outranks k both ways.
@@ -241,56 +222,3 @@ def global_losses(gt_graph: PrecedenceGraph, re_graph: PrecedenceGraph):
     if pairs == 0:
         raise InputError("need at least two agents")
     return k_raw, k_raw / pairs
-
-
-@dataclass(frozen=True)
-class Theorem1Report:
-    """Census of unrestricted-budget behaviour over one agent population."""
-
-    n_agents: int
-    disputes_per_strategy: int
-    budget_forced: int
-    subjective_loss_total: int
-    re_gt_mismatches: dict
-    violations: tuple
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def theorem1_check(agents, xc: ExpandedCulture, seed: int) -> Theorem1Report:
-    """Check that a budget covering every node cost removes budget effects.
-
-    With g at the total expanded cost no dispute can be budget_forced and
-    the subjective loss must vanish; violations are collected rather than
-    asserted.  Dialogue-vs-referee mismatches are tallied per strategy as an
-    observation, not a failure: strategic play may still lose winnable
-    disputes.
-    """
-    g = xc.total_cost
-    gt = ground_truth_matrix(agents, xc)
-    violations = []
-    forced = 0
-    sl_total = 0
-    mismatches = {}
-    for strategy in STRATEGIES:
-        rows = [0] * len(agents)
-        for j, k, res in dispute_records(agents, xc, strategy, g, seed):
-            if res.termination == BUDGET_FORCED:
-                forced += 1
-                violations.append(
-                    f"{strategy}: dispute ({j}, {k}) ended budget_forced at g={g}"
-                )
-            sl_total += subjective_local_loss(res)
-            if res.winner == PR:
-                rows[j] |= 1 << k
-        mismatches[strategy] = gt.mismatches(OutcomeMatrix(tuple(rows)))
-    return Theorem1Report(
-        n_agents=len(agents),
-        disputes_per_strategy=len(agents) * (len(agents) - 1),
-        budget_forced=forced,
-        subjective_loss_total=sl_total,
-        re_gt_mismatches=mismatches,
-        violations=tuple(violations),
-    )

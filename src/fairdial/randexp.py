@@ -53,7 +53,6 @@ class TrialConfig:
     n_attacks: int = 48
     cost_range: tuple = (1, 20)
     budget_grid: tuple = DEFAULT_BUDGET_GRID
-    strategies: tuple = STRATEGIES
     seed: int = 0
 
     def __post_init__(self):
@@ -70,10 +69,6 @@ class TrialConfig:
         if list(grid) != sorted(set(grid)):
             raise InputError("budget grid must be strictly ascending")
         object.__setattr__(self, "budget_grid", grid)
-        unknown = set(self.strategies) - set(STRATEGIES)
-        if unknown:
-            raise InputError(f"unknown strategies {sorted(unknown)}")
-        object.__setattr__(self, "strategies", tuple(self.strategies))
 
     @property
     def budgets(self) -> tuple:
@@ -123,7 +118,7 @@ def run_trial(cfg: TrialConfig, log=None):
     n_pairs = n * (n - 1)
     budgets = cfg.budgets
     rows = []
-    for strategy in cfg.strategies:
+    for strategy in STRATEGIES:
         wins = [[0] * n for _ in budgets]
         forced = [0] * len(budgets)
         records = []
@@ -246,7 +241,7 @@ def _ecdf_worker(args):
             max(res.spent.values())
             for _, _, res in dispute_records(agents, xc, strategy, None, tcfg.seed)
         ]
-        for strategy in tcfg.strategies
+        for strategy in STRATEGIES
     }
 
 
@@ -255,7 +250,7 @@ def ecdf_privacy_cost(cfg: TrialConfig, n_trials: int, jobs: int = 1):
     if n_trials < 1:
         raise InputError("need at least one trial")
     tasks = [(cfg, s) for s in trial_seeds(cfg.seed, n_trials)]
-    samples = {s: [] for s in cfg.strategies}
+    samples = {s: [] for s in STRATEGIES}
     for chunk in parallel_map(_ecdf_worker, tasks, jobs):
         for s, vals in chunk.items():
             samples[s].extend(vals)
@@ -332,9 +327,8 @@ def write_ecdf_csv(tables, path):
                 writer.writerow([strategy, z, fmt_num(p)])
 
 
-def write_sweep_plot_script(path, summary_csv="sweep_summary.csv"):
+def write_sweep_plot_script(path):
     """Emit a gnuplot script for the sweep summary curves."""
-    strategies = STRATEGIES
     lines = [
         "# gnuplot script: mean subjective loss and precedence distortion vs budget",
         'set datafile separator ","',
@@ -345,9 +339,9 @@ def write_sweep_plot_script(path, summary_csv="sweep_summary.csv"):
         "set ylabel 'mean subjective loss'",
     ]
     plot_parts = []
-    for s in strategies:
+    for s in STRATEGIES:
         plot_parts.append(
-            f"'{summary_csv}' using 2:($1 eq '{s}' ? $4 : 1/0):5 "
+            f"'sweep_summary.csv' using 2:($1 eq '{s}' ? $4 : 1/0):5 "
             f"with yerrorlines title '{s}'"
         )
     lines.append("plot " + ", \\\n     ".join(plot_parts))
@@ -356,9 +350,9 @@ def write_sweep_plot_script(path, summary_csv="sweep_summary.csv"):
         "set ylabel 'normalised precedence distortion'",
     ]
     plot_parts = []
-    for s in strategies:
+    for s in STRATEGIES:
         plot_parts.append(
-            f"'{summary_csv}' using 2:($1 eq '{s}' ? $8 : 1/0):9 "
+            f"'sweep_summary.csv' using 2:($1 eq '{s}' ? $8 : 1/0):9 "
             f"with yerrorlines title '{s}'"
         )
     lines.append("plot " + ", \\\n     ".join(plot_parts))
@@ -366,7 +360,7 @@ def write_sweep_plot_script(path, summary_csv="sweep_summary.csv"):
         fh.write("\n".join(lines) + "\n")
 
 
-def write_ecdf_plot_script(path, ecdf_csv="ecdf.csv"):
+def write_ecdf_plot_script(path):
     lines = [
         "# gnuplot script: proportion of dialogues needing more than budget z",
         'set datafile separator ","',
@@ -379,7 +373,7 @@ def write_ecdf_plot_script(path, ecdf_csv="ecdf.csv"):
     plot_parts = []
     for s in STRATEGIES:
         plot_parts.append(
-            f"'{ecdf_csv}' using 2:($1 eq '{s}' ? $3 : 1/0) "
+            f"'ecdf.csv' using 2:($1 eq '{s}' ? $3 : 1/0) "
             f"with steps title '{s}'"
         )
     lines.append("plot " + ", \\\n     ".join(plot_parts))

@@ -1,127 +1,14 @@
-"""Two-sample Student's t-test with a self-contained tail computation.
-
-The pooled-variance statistic is the classic one; p-values come from the
-regularized incomplete beta function evaluated by the standard Lentz
-continued fraction, so no numerical dependency is involved.
-"""
+"""Normal-approximation confidence intervals for the sweep summary."""
 
 from __future__ import annotations
 
 import math
 from statistics import fmean
-from typing import NamedTuple
 
 from .errors import StatsError
 
-TWO_SIDED = "two"
-ONE_SIDED = "one"
-
-
-class TTestResult(NamedTuple):
-    t: float
-    p: float
-    df: int
-
 # two-sided 99% normal quantile, used for confidence intervals on means
 Z99 = 2.5758293035489004
-
-_FPMIN = 1e-300
-_EPS = 3e-14
-_MAX_ITER = 300
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    raise StatsError("incomplete beta continued fraction did not converge")
-
-
-def betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b)."""
-    if not 0.0 <= x <= 1.0:
-        raise StatsError(f"x={x} outside [0, 1]")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def _student_sf(t: float, df: float) -> float:
-    """P(T > t) for Student's t with ``df`` degrees of freedom."""
-    if t < 0:
-        return 1.0 - _student_sf(-t, df)
-    x = df / (df + t * t)
-    return 0.5 * betainc_reg(df / 2.0, 0.5, x)
-
-
-def t_test(sample_a, sample_b, sided: str = TWO_SIDED):
-    """Pooled-variance two-sample t-test.
-
-    Returns a (t, p, df) tuple.  ``sided="two"`` tests for any difference in means;
-    ``sided="one"`` tests the alternative that sample_a's mean is below
-    sample_b's, so small p favours "a < b".
-    """
-    a = [float(v) for v in sample_a]
-    b = [float(v) for v in sample_b]
-    na, nb = len(a), len(b)
-    if na < 2 or nb < 2:
-        raise StatsError("each sample needs at least two observations")
-    mean_a = fmean(a)
-    mean_b = fmean(b)
-    ss_a = sum((v - mean_a) ** 2 for v in a)
-    ss_b = sum((v - mean_b) ** 2 for v in b)
-    df = na + nb - 2
-    pooled = (ss_a + ss_b) / df
-    if pooled <= 0.0:
-        if mean_a == mean_b:
-            raise StatsError("both samples are constant and equal")
-        raise StatsError("zero pooled variance with unequal means")
-    t = (mean_a - mean_b) / math.sqrt(pooled * (1.0 / na + 1.0 / nb))
-    if sided == TWO_SIDED:
-        p = 2.0 * _student_sf(abs(t), df)
-    elif sided == ONE_SIDED:
-        p = 1.0 - _student_sf(t, df)  # P(T <= t)
-    else:
-        raise StatsError(f"unknown sidedness {sided!r}")
-    return TTestResult(t, min(1.0, p), df)
 
 
 def mean_ci99(sample):

@@ -951,7 +951,7 @@ def test_parallel_experiment_matches_serial():
     serial = run_boat_experiment(cfg, jobs=1)
     parallel = run_boat_experiment(cfg, jobs=2)
     assert [s.losses for s in serial] == [s.losses for s in parallel]
-    assert [s.budget_forced for s in serial] == [s.budget_forced for s in parallel]
+    assert [s.encounters for s in serial] == [s.encounters for s in parallel]
 
 
 def test_trajectory_csv(tmp_path):

@@ -16,6 +16,7 @@ import pytest
 
 from fairdial import cli, fairness, randexp
 from fairdial.cli import main
+from fairdial.dialogue import STRATEGIES
 from fairdial.errors import InputError
 from fairdial.fairness import dispute_records
 from fairdial.randexp import TrialConfig, _population, transcript_row, trial_seeds
@@ -215,7 +216,7 @@ def test_transcripts_hold_every_scored_dialogue(capsys, tmp_path):
     fresh = []
     for trial, tseed in enumerate(trial_seeds(9, 2)):
         xc, agents = _population(replace(cfg, seed=tseed))
-        for strategy in cfg.strategies:
+        for strategy in STRATEGIES:
             for g in cfg.budgets:
                 label = xc.total_cost if g is None else g
                 for j, k, res in dispute_records(agents, xc, strategy, g, tseed):
@@ -660,8 +661,9 @@ def test_installed_entry_point_runs():
     assert proc.stdout.strip()
 
 
-# Runs each command in one fresh process and prints which of numpy and
-# multiprocessing are loaded after each step.
+# Runs each command in one fresh process and prints which of numpy,
+# multiprocessing and the test-only scipy and hypothesis are loaded after
+# each step.
 IMPORT_PROBE = """
 import json, sys
 from pathlib import Path
@@ -679,10 +681,11 @@ steps = {
     "boats": ["boats", "--trials", "1", "--strategy", "min_cost",
               "--config", world, "--out", str(out / "boats")],
 }
+watched = {"numpy", "multiprocessing", "scipy", "hypothesis"}
 loaded = {}
 for step, argv in steps.items():
     code = 0 if argv is None else main(argv)
-    loaded[step] = [code, sorted({"numpy", "multiprocessing"} & set(sys.modules))]
+    loaded[step] = [code, sorted(watched & set(sys.modules))]
 print(json.dumps(loaded))
 """
 

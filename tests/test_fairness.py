@@ -15,7 +15,7 @@ from fairdial.culture import (
     generate_random_culture,
 )
 from fairdial import fairness
-from fairdial.dialogue import STRATEGIES, _play, run_dispute
+from fairdial.dialogue import BUDGET_FORCED, CONVINCED, STRATEGIES, _play, run_dispute
 from fairdial.errors import InputError
 from fairdial.fairness import (
     OutcomeMatrix,
@@ -24,13 +24,9 @@ from fairdial.fairness import (
     dispute_records,
     global_losses,
     ground_truth_matrix,
-    objective_local_loss,
     objective_outcome,
     pair_census,
     precedence_graph,
-    result_matrix,
-    subjective_local_loss,
-    theorem1_check,
 )
 from fairdial.randexp import TrialConfig, _population
 from reference_models import (
@@ -92,16 +88,14 @@ def test_ground_truth_matrix_layout():
 
 
 def test_local_losses():
-    assert objective_local_loss("pr", "pr") == 0
-    assert objective_local_loss("pr", "op") == 1
+    # l_SL is 1 exactly when the budget forced the ending
     xc = example_xc()
-    from fairdial.dialogue import run_dispute
     res = run_dispute(FeatureDescription((2, 2)), FeatureDescription((1, 2)),
                       xc, "min_cost", g=None)
-    assert subjective_local_loss(res) == 0
+    assert res.termination == CONVINCED
     res = run_dispute(FeatureDescription((2, 2)), FeatureDescription((1, 2)),
                       xc, "min_cost", g=1)
-    assert subjective_local_loss(res) == 1
+    assert res.termination == BUDGET_FORCED
 
 
 # ------------------------------------------------------------- precedence
@@ -240,13 +234,15 @@ def test_result_matrix_is_reproducible():
     xc = expand(generate_random_culture(6, 12, (1, 20), 3))
     rng = random.Random(5)
     agents = random_agents(4, 5, rng, hi=999)
+
+    def winners(strategy, seed):
+        return [(j, k, res.winner)
+                for j, k, res in dispute_records(agents, xc, strategy, 20, seed)]
+
     for strategy in ("min_cost", "random"):
-        a = result_matrix(agents, xc, strategy, 20, seed=11)
-        b = result_matrix(agents, xc, strategy, 20, seed=11)
-        assert a == b
-    a = result_matrix(agents, xc, "random", 20, seed=11)
-    c = result_matrix(agents, xc, "random", 20, seed=12)
-    assert a != c  # extremely unlikely to coincide over 12 disputes
+        assert winners(strategy, 11) == winners(strategy, 11)
+    # extremely unlikely to coincide over 12 disputes
+    assert winners("random", 11) != winners("random", 12)
 
 
 def test_dispute_records_cover_all_ordered_pairs():
@@ -392,10 +388,9 @@ def test_unbounded_budget_removes_forcing():
         cul = generate_random_culture(6, 12, (1, 20), seed + 40)
         xc = expand(cul)
         agents = random_agents(4, 5, rng, hi=999)
-        report = theorem1_check(agents, xc, seed=seed)
-        assert report.passed
-        assert report.budget_forced == 0
-        assert report.subjective_loss_total == 0
-        assert report.disputes_per_strategy == 12
-        assert set(report.re_gt_mismatches) == {
-            "random", "min_cost", "offensive", "defensive"}
+        for strategy in STRATEGIES:
+            records = list(dispute_records(agents, xc, strategy,
+                                           xc.total_cost, seed))
+            assert len(records) == 12
+            assert not any(res.termination == BUDGET_FORCED
+                           for _, _, res in records)
