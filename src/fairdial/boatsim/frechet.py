@@ -105,23 +105,25 @@ def _frechet_batch(p, q) -> np.ndarray:
 def frechet_pairs(curves_a, curves_b) -> list:
     """``[discrete_frechet(a, b) for a, b in zip(curves_a, curves_b)]``.
 
-    Pairs whose curves have the same lengths share one batched sweep; the
-    values are the same floats as ``discrete_frechet``'s.
+    Every pair runs in one batched sweep.  First curves are padded to the
+    longest first curve, and second curves to the longest second curve, by
+    repeating their last point.  A repeated point leaves the distance
+    unchanged, and it adds no new point distance, so the values are the
+    same floats as each pair's own sweep gives.
     """
     if len(curves_a) != len(curves_b):
         raise InputError("need as many second curves as first curves")
-    ps = [_as_points(c) for c in curves_a]
-    qs = [_as_points(c) for c in curves_b]
-    out = [0.0] * len(ps)
-    groups = {}
-    for idx, (p, q) in enumerate(zip(ps, qs)):
-        groups.setdefault((len(p), len(q)), []).append(idx)
-    for members in groups.values():
-        values = _frechet_batch(np.stack([ps[i] for i in members]),
-                                np.stack([qs[i] for i in members]))
-        for i, value in zip(members, values.tolist()):
-            out[i] = value
-    return out
+    if not curves_a:
+        return []
+    return _frechet_batch(_padded(curves_a), _padded(curves_b)).tolist()
+
+
+def _padded(curves) -> np.ndarray:
+    """(B, longest, 2) points, each curve padded by repeating its last point."""
+    points = [_as_points(c) for c in curves]
+    longest = max(len(p) for p in points)
+    return np.stack([np.pad(p, ((0, longest - len(p)), (0, 0)), mode="edge")
+                     for p in points])
 
 
 def discrete_frechet(curve_a, curve_b) -> float:

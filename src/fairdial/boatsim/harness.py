@@ -69,34 +69,34 @@ def _run_one_trial(args):
     ]
     world = sail_variants(
         init_parade(derive_seed(cfg.seed, "world", trial), cfg.world), variants)
-    objective = run_boat_trial(world, None, None, OBJECTIVE)
-    summaries = []
-    compared = {}  # Fréchet comparisons of this world's courses
+    # keep of each result only what the summaries read, so that no
+    # result's telemetry outlives its turn
+    referee = run_boat_trial(world, None, None, OBJECTIVE)
+    objective, refereed = referee.trajectories, referee.encounters
+    del referee
+    runs, comforts, encounters = [], [], []
     for strategy in cfg.strategies:
         nominal = run_boat_trial(world, strategy, cfg.g, NOMINAL)
+        comforts.append(tuple(
+            comfort_metrics(tel, traj, top_speed=cfg.world.physics.top_speed)
+            for tel, traj in zip(nominal.telemetry, nominal.trajectories)
+        ))
         subjective = run_boat_trial(world, strategy, cfg.g, SUBJECTIVE)
-        losses = global_trajectory_losses(nominal, subjective, objective,
-                                          literal_gap=cfg.literal_gap,
-                                          memo=compared)
-        comfort = tuple(
-            comfort_metrics(nominal.telemetry[i], nominal.trajectories[i],
-                            top_speed=cfg.world.physics.top_speed)
-            for i in range(cfg.world.n_agents)
-        )
-        summaries.append(
-            BoatTrialSummary(
-                trial=trial,
-                strategy=strategy,
-                losses=losses,
-                comfort=comfort,
-                encounters={
-                    NOMINAL: nominal.encounters,
-                    SUBJECTIVE: subjective.encounters,
-                    OBJECTIVE: objective.encounters,
-                },
-            )
-        )
-    return summaries
+        runs.append((nominal.trajectories, subjective.trajectories))
+        encounters.append({
+            NOMINAL: nominal.encounters,
+            SUBJECTIVE: subjective.encounters,
+            OBJECTIVE: refereed,
+        })
+        del nominal, subjective
+    losses = global_trajectory_losses(objective, runs,
+                                      literal_gap=cfg.literal_gap)
+    return [
+        BoatTrialSummary(trial=trial, strategy=strategy, losses=lost,
+                         comfort=comfort, encounters=met)
+        for strategy, lost, comfort, met
+        in zip(cfg.strategies, losses, comforts, encounters)
+    ]
 
 
 def run_boat_experiment(cfg: BoatExperimentConfig, jobs: int = 1):

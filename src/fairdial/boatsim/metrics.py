@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import InputError
 from .frechet import frechet_pairs
-from .world import BoatTrialResult, Telemetry, Trajectory
+from .world import Telemetry, Trajectory
 
 DEFAULT_STRIDE = 20  # ticks between Fréchet samples: 1 s at the 20 Hz tick
 TRIM_FRACTION = 0.95  # share of top speed that opens the comfort window
@@ -79,43 +79,38 @@ class TrajectoryLosses:
         return float(np.mean(self.omega_p))
 
 
-def global_trajectory_losses(nominal: BoatTrialResult,
-                             subjective: BoatTrialResult,
-                             objective: BoatTrialResult,
-                             literal_gap: bool = False,
-                             memo: dict | None = None) -> TrajectoryLosses:
-    """Fréchet distortion per agent across the three worlds of one trial.
+def global_trajectory_losses(objective: tuple, runs,
+                             literal_gap: bool = False) -> list:
+    """Fréchet distortion per agent across the three worlds of each run.
 
-    ``literal_gap`` switches the subjectivity gap to the nominal-versus-
-    subjective comparison instead of the default subjective-versus-
-    objective reading; that comparison is then computed once for both.
-    Each comparison is one batched Fréchet sweep over all agents, whose
-    traces share a length within a world.
+    ``objective`` is the objective course's trajectory tuple in one sailed
+    world, and ``runs`` holds one ``(nominal, subjective)`` pair of its
+    trajectory tuples per strategy; one :class:`TrajectoryLosses` comes
+    back per run.  ``literal_gap`` reads the subjectivity gap as nominal
+    versus subjective instead of subjective versus objective.
 
-    Variants that sailed one course share its trajectory tuple.  A course
-    compared with itself is 0.0 for every agent, with no sweep.  ``memo``
-    keeps each comparison by the identity of its two trajectory tuples,
-    so a caller that passes one dict for the variants of one sailed world
-    sweeps a comparison repeated across strategies once.  It must not
-    outlive those results, whose ids it holds.
+    Variants that sailed one course share its tuple.  A course compared with
+    itself is 0.0 for every agent and is never swept; every other distinct
+    comparison is swept once, all in one :func:`frechet_pairs` call.
     """
-    n = len(nominal.trajectories)
-    if not (len(subjective.trajectories) == len(objective.trajectories) == n):
+    n = len(objective)
+    if any(len(nominal) != n or len(subjective) != n for nominal, subjective in runs):
         raise InputError("trials must cover the same agents")
-    if memo is None:
-        memo = {}
+    wanted = [
+        ((nominal, objective), (nominal, subjective),
+         (nominal, subjective) if literal_gap else (subjective, objective))
+        for nominal, subjective in runs
+    ]
+    # keyed by identity: ``runs`` keeps every tuple alive for this call
+    distinct = {(id(a), id(b)): (a, b)
+                for comparisons in wanted for a, b in comparisons if a is not b}
+    values = frechet_pairs(
+        [decimate_positions(tr) for a, _ in distinct.values() for tr in a],
+        [decimate_positions(tr) for _, b in distinct.values() for tr in b])
+    swept = {key: tuple(values[k * n:(k + 1) * n]) for k, key in enumerate(distinct)}
 
     def compare(a, b):
-        if a.trajectories is b.trajectories:
-            return (0.0,) * n
-        key = id(a.trajectories), id(b.trajectories)
-        if key not in memo:
-            memo[key] = tuple(frechet_pairs(
-                [decimate_positions(tr) for tr in a.trajectories],
-                [decimate_positions(tr) for tr in b.trajectories]))
-        return memo[key]
+        return (0.0,) * n if a is b else swept[id(a), id(b)]
 
-    omega = compare(nominal, objective)
-    omega_p = compare(nominal, subjective)
-    gap = omega_p if literal_gap else compare(subjective, objective)
-    return TrajectoryLosses(omega=omega, omega_p=omega_p, gap=gap)
+    return [TrajectoryLosses(*(compare(a, b) for a, b in comparisons))
+            for comparisons in wanted]

@@ -167,6 +167,8 @@ def _execute_boats(config: dict, out_dir: Path):
         else (config["strategy"],)
     )
     mode = config["mode"]
+    if config["trials"] < 1:
+        raise InputError("need at least one trial")
     if mode == "all":
         cfg = BoatExperimentConfig(
             seed=config["seed"],
@@ -343,9 +345,22 @@ def _run_command(command: str, config: dict, out_dir) -> int:
 
 # ---------------------------------------------------------------- handlers
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _read_json(path):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON: {exc}") from None
+
+
 def _cmd_af_solve(args) -> int:
-    text = Path(args.framework).read_text(encoding="utf-8")
-    af = parse_framework(text)
+    af = parse_framework(_read_text(args.framework))
     if args.sceptical is not None:
         verdict = sceptically_accepted(args.sceptical, af)
         print("accepted" if verdict else "rejected")
@@ -361,7 +376,7 @@ def _cmd_af_solve(args) -> int:
 
 
 def _cmd_af_echo(args) -> int:
-    af = parse_framework(Path(args.framework).read_text(encoding="utf-8"))
+    af = parse_framework(_read_text(args.framework))
     sys.stdout.write(emit_framework(af))
     return 0
 
@@ -465,13 +480,7 @@ def _cmd_ecdf(args) -> int:
 
 
 def _cmd_boats(args) -> int:
-    world = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                world = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{args.config}: invalid JSON: {exc}") from None
+    world = _read_json(args.config) if args.config else {}
     _world_config_from(world)  # reject a bad config before any output exists
     config = {
         "strategy": args.strategy,
@@ -489,11 +498,7 @@ def _cmd_boats(args) -> int:
 
 def _cmd_rerun(args) -> int:
     manifest_path = Path(args.manifest)
-    with open(manifest_path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{manifest_path}: invalid JSON: {exc}") from None
+    doc = _read_json(manifest_path)
     if not isinstance(doc, dict):
         raise InputError(f"{manifest_path}: a manifest must be a JSON object")
     command = doc.get("command")

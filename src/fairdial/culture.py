@@ -501,22 +501,17 @@ def culture_from_dict(doc) -> Culture:
         try:
             arg_id = int(entry["id"])
             label = str(entry["label"])
-            motion = bool(entry["motion"])
+            motion = entry["motion"]
+            if not isinstance(motion, bool):
+                raise TypeError(f"'motion' must be true or false, got {motion!r}")
             cost = int(entry["cost"])
+            values = entry.get("values")
+            values = tuple(values) if values is not None else None
+            attacks.update((arg_id, int(t)) for t in entry.get("attacks", ()))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"argument {i} is malformed: {exc}") from None
-        values = entry.get("values")
-        args.append(
-            CultureArgument(
-                arg_id=arg_id,
-                label=label,
-                is_motion=motion,
-                cost=cost,
-                values=tuple(values) if values is not None else None,
-            )
-        )
-        for t in entry.get("attacks", ()):
-            attacks.add((arg_id, int(t)))
+        args.append(CultureArgument(arg_id=arg_id, label=label,
+                                    is_motion=motion, cost=cost, values=values))
     x_costs = doc.get("x_costs")
     try:
         return Culture(
@@ -526,6 +521,8 @@ def culture_from_dict(doc) -> Culture:
         )
     except InputError as exc:
         raise ParseError(str(exc)) from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"'x_costs' is malformed: {exc}") from None
 
 
 def save_culture(culture: Culture, path):
@@ -538,6 +535,6 @@ def load_culture(path) -> Culture:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from None
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise ParseError(f"{path}: invalid JSON: {exc}") from None
     return culture_from_dict(doc)

@@ -8,6 +8,7 @@ below; tolerances are fixed here and nowhere else.
 
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -16,10 +17,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fairdial._util import derive_seed
 from fairdial.af import Framework, preferred_extensions
 from fairdial.boatsim.frechet import discrete_frechet
 from fairdial.boatsim.harness import BoatExperimentConfig, run_boat_experiment
-from fairdial.boatsim.world import activation_radius
+from fairdial.boatsim.world import _rule, activation_radius, init_parade
 from fairdial.cli import main as cli_main
 from fairdial.culture import (
     Culture,
@@ -165,7 +167,7 @@ def _sweep_cells(rows):
 def test_criterion_04_budget_sweep_orderings(announce):
     started = time.monotonic()
     cfg = TrialConfig(seed=ROOT_SEED)  # 16 agents, 16 args, 48 attacks
-    rows = sweep(cfg, SWEEP_TRIALS)
+    rows = sweep(cfg, SWEEP_TRIALS, jobs=os.cpu_count())
     elapsed = time.monotonic() - started
     grid = cfg.budget_grid  # 0, 5, ..., 60
     window = [g for g in grid if 5 <= g <= 40]
@@ -343,7 +345,7 @@ def test_criterion_08_frechet_matches_brute_force(announce):
 def test_criterion_09_boat_sim_orderings(announce):
     started = time.monotonic()
     cfg = BoatExperimentConfig(seed=ROOT_SEED, g=30, n_trials=BOAT_TRIALS)
-    summaries = run_boat_experiment(cfg)
+    summaries = run_boat_experiment(cfg, jobs=os.cpu_count())
     problems = []
 
     # (a) the referee world spends nothing and forces nothing
@@ -392,8 +394,17 @@ def test_criterion_09_boat_sim_orderings(announce):
     if elapsed > 45 * 60:
         problems.append(f"runtime {elapsed:.0f}s exceeds 45 min")
     ok = not problems
+    # offensive and defensive rule alike in the boat culture from g = 10
+    rulings = []  # (offensive, defensive) nominal ruling of each pair
+    for t in range(BOAT_TRIALS):
+        world = init_parade(derive_seed(ROOT_SEED, "world", t), cfg.world)
+        ruled = _rule(world, [("nominal", s, cfg.g) for s in ("offensive", "defensive")])
+        rulings += zip(*ruled.values())
+    differ = sum((a.winner, a.z, a.termination) != (b.winner, b.z, b.termination)
+                 for a, b in rulings)
     detail = (f"boat experiment ({BOAT_TRIALS} trials, g=30, seed "
-              f"{ROOT_SEED}, {elapsed:.0f}s)")
+              f"{ROOT_SEED}, {elapsed:.0f}s); offensive and defensive differ "
+              f"in {differ} of {len(rulings)} nominal rulings")
     if problems:
         detail += ": " + "; ".join(problems)
     announce(9, ok, detail)

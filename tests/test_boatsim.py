@@ -37,7 +37,6 @@ from fairdial.boatsim.physics import PhysicsParams, step_arrays
 from fairdial.boatsim.world import (
     MAX_TICKS,
     BoatAgent,
-    BoatTrialResult,
     Telemetry,
     Trajectory,
     World,
@@ -530,13 +529,25 @@ def test_default_trial_sails_six_courses(batches, monkeypatch):
     worlds = []
     trial = harness_module.run_boat_trial
 
+    courses = {}  # (strategy, mode) -> id of the trajectory tuple
+
     def spy(world, strategy, g, mode):
         served.append(world_module._variant(strategy, g, mode) in world.sailed)
         if not worlds or worlds[-1]() is not world:
             worlds.append(weakref.ref(world))
-        return trial(world, strategy, g, mode)
+        result = trial(world, strategy, g, mode)
+        courses[strategy, mode] = id(result.trajectories)
+        return result
 
     monkeypatch.setattr(harness_module, "run_boat_trial", spy)
+    swept = []
+    frechet_pairs = metrics_module.frechet_pairs
+
+    def counted(curves_a, curves_b):
+        swept.append(len(curves_a))
+        return frechet_pairs(curves_a, curves_b)
+
+    monkeypatch.setattr(metrics_module, "frechet_pairs", counted)
     disputes, expansions = [], []
     dispute, expand_culture = fairness_module._play, world_module.expand
 
@@ -562,6 +573,16 @@ def test_default_trial_sails_six_courses(batches, monkeypatch):
     assert batches == [6]  # one batch of 6 courses
     assert served == [True] * 9  # every variant came from the table
     assert len(worlds) == 1  # all 9 calls were served by one sailed world
+    # one Fréchet sweep per trial, over each distinct comparison of two
+    # different courses once
+    objective = courses[None, "objective"]
+    compared = set()
+    for s in STRATEGIES:
+        nominal, subjective = courses[s, "nominal"], courses[s, "subjective"]
+        compared |= {(nominal, objective), (nominal, subjective),
+                     (subjective, objective)}
+    distinct = {(a, b) for a, b in compared if a != b}
+    assert swept == [len(distinct) * cfg.world.n_agents]
     gc.collect()
     assert worlds[0]() is None  # and no sailed world outlives its trial
 
@@ -813,49 +834,44 @@ def test_decimate_positions():
     assert pts[-1][0] == pytest.approx(traj.xs[-1])
 
 
-def _result_from(trajs):
-    n = len(trajs[0].ts)
-    tel = Telemetry(ts=trajs[0].ts, lat_acc=np.zeros(n), yaw_rate=np.zeros(n),
-                    lat_jerk=np.zeros(n), arrival_index=n)
-    return BoatTrialResult(mode="nominal", strategy="min_cost", g=30,
-                           trajectories=tuple(trajs), telemetry=(tel,) * len(trajs),
-                           encounters=())
-
-
 def test_global_trajectory_losses():
     _, base = _flat_series(101)
     shifted = Trajectory(ts=base.ts, xs=base.xs, ys=base.ys + 7.0,
                          headings=base.headings, speeds=base.speeds)
-    nominal = _result_from([base])
-    subjective = _result_from([shifted])
-    objective = _result_from([base])
-    losses = global_trajectory_losses(nominal, subjective, objective)
+    nominal, subjective, objective = (base,), (shifted,), (base,)
+    (losses,) = global_trajectory_losses(objective, [(nominal, subjective)])
     assert losses.omega == (0.0,)
     assert losses.omega_p == (7.0,)
     assert losses.gap == (7.0,)  # subjective vs objective by default
-    literal = global_trajectory_losses(nominal, subjective, objective,
-                                       literal_gap=True)
+    (literal,) = global_trajectory_losses(objective, [(nominal, subjective)],
+                                          literal_gap=True)
     assert literal.gap == (7.0,)
     assert losses.mean_omega == 0.0 and losses.mean_omega_p == 7.0
+    assert global_trajectory_losses(objective, []) == []
     with pytest.raises(InputError):
-        global_trajectory_losses(nominal, subjective, _result_from([base, base]))
+        global_trajectory_losses((base, base), [(nominal, subjective)])
+    with pytest.raises(InputError):
+        global_trajectory_losses(objective, [(nominal, (base, shifted))])
 
 
 def test_literal_gap_reuses_the_nominal_subjective_comparison():
     world = init_parade(7, TINY_WORLD)
-    objective = run_boat_trial(world, None, None, "objective")
+    objective = run_boat_trial(world, None, None, "objective").trajectories
+    runs, forced = [], []
     for strategy in ("min_cost", "offensive"):
         nominal = run_boat_trial(world, strategy, 30, "nominal")
         subjective = run_boat_trial(world, strategy, 30, "subjective")
-        default = global_trajectory_losses(nominal, subjective, objective)
-        literal = global_trajectory_losses(nominal, subjective, objective,
-                                           literal_gap=True)
+        runs.append((nominal.trajectories, subjective.trajectories))
+        forced.append(any(e.termination == "budget_forced"
+                          for e in nominal.encounters))
+    defaults = global_trajectory_losses(objective, runs)
+    literals = global_trajectory_losses(objective, runs, literal_gap=True)
+    for default, literal, was_forced in zip(defaults, literals, forced):
         assert literal.omega == default.omega
         assert literal.omega_p == default.omega_p
         assert literal.gap == literal.omega_p
-        forced = any(e.termination == "budget_forced" for e in nominal.encounters)
         # refusing to yield only happens after a budget-forced ruling
-        assert (max(default.omega_p) > 0.0) == forced
+        assert (max(default.omega_p) > 0.0) == was_forced
 
 
 def _wandering_course(rng, n_agents=3, n=121):
@@ -869,39 +885,50 @@ def _wandering_course(rng, n_agents=3, n=121):
     )
 
 
-def test_shared_frechet_memo_matches_per_pair_distances(monkeypatch):
+def test_one_frechet_sweep_matches_per_pair_distances(monkeypatch):
     rng = np.random.default_rng(3)
-    a, b, c = (_wandering_course(rng) for _ in range(3))
-    objective = _result_from(a)
+    # courses of unequal length, so the sweep pads its curves
+    a, b, c = (_wandering_course(rng, n=n) for n in (121, 161, 101))
     # strategy 1 sails the objective course nominally; strategy 2 repeats
-    # strategy 1's (nominal, subjective) pair in fresh result objects
-    variants = [(_result_from(a), _result_from(b)),
-                (_result_from(a), _result_from(b)),
-                (_result_from(c), _result_from(b))]
+    # strategy 1's (nominal, subjective) pair
+    runs = [(a, b), (a, b), (c, b)]
     swept = []
     frechet_pairs = metrics_module.frechet_pairs
 
     def counted(curves_a, curves_b):
-        swept.append(len(curves_a))
+        swept.append((curves_a, curves_b))
         return frechet_pairs(curves_a, curves_b)
 
     monkeypatch.setattr(metrics_module, "frechet_pairs", counted)
-    memo = {}
 
     def bits(values):
         return [float(v).hex() for v in values]
 
-    for nominal, subjective in variants:
-        losses = global_trajectory_losses(nominal, subjective, objective, memo=memo)
-        for got, first, second in ((losses.omega, nominal, objective),
+    def traces(course):
+        return [decimate_positions(tr) for tr in course]
+
+    every = global_trajectory_losses(a, runs)
+    for losses, (nominal, subjective) in zip(every, runs):
+        for got, first, second in ((losses.omega, nominal, a),
                                    (losses.omega_p, nominal, subjective),
-                                   (losses.gap, subjective, objective)):
+                                   (losses.gap, subjective, a)):
             assert bits(got) == bits(
                 discrete_frechet(decimate_positions(p), decimate_positions(q))
-                for p, q in zip(first.trajectories, second.trajectories))
-    # distinct comparisons (a, b), (b, a), (c, a), (c, b); (a, a) is never swept
-    assert swept == [3] * 4
-    assert global_trajectory_losses(*variants[0], objective).omega == (0.0,) * 3
+                for p, q in zip(first, second))
+    # one call sweeps the distinct comparisons (a, b), (b, a), (c, a) and
+    # (c, b) once each; (a, a) is never swept
+    assert len(swept) == 1
+    curves_a, curves_b = swept[0]
+    courses = {"a": a, "b": b, "c": c}
+
+    def named(curves):
+        return next(name for name, course in courses.items()
+                    if all(map(np.array_equal, curves, traces(course))))
+
+    assert sorted((named(curves_a[k:k + 3]), named(curves_b[k:k + 3]))
+                  for k in range(0, len(curves_a), 3)) == [
+        ("a", "b"), ("b", "a"), ("c", "a"), ("c", "b")]
+    assert every[0].omega == (0.0,) * 3
 
 
 # ----------------------------------------------------------------- harness

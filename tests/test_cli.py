@@ -85,6 +85,22 @@ def test_af_solve_malformed_file_is_exit_1(capsys, tmp_path):
     assert code == 1 and "fairdial:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("af", "solve", "{path}"),
+    ("af", "echo", "{path}"),
+    ("dispute", "--culture", "{path}", "--pr", "1", "--op", "2"),
+    ("boats", "--mode", "nominal", "--config", "{path}", "--out", "{out}"),
+    ("rerun", "{path}", "--out", "{out}"),
+], ids=["af-solve", "af-echo", "dispute", "boats", "rerun"])
+def test_non_utf8_input_file_is_exit_1(capsys, tmp_path, argv):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes("{}".encode("utf-16"))  # starts with the \xff\xfe mark
+    out = tmp_path / "never"
+    code, _, err = run_cli(capsys, *(a.format(path=path, out=out) for a in argv))
+    assert code == 1 and err.startswith(f"fairdial: {path}:")
+    assert not out.exists()
+
+
 def test_usage_errors_are_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["af", "solve", "x.txt", "--method", "quantum"])
@@ -400,10 +416,13 @@ SWEEP_CONFIG = {
         "trials_per_round": 3, "seed": "x"}}), "unknown key 'seed'"),
     (json.dumps({"command": "sweep", "config": {**SWEEP_CONFIG, "budget_grid": []}}),
      "at least one budget"),
+    (json.dumps({"command": "boats", "config": {
+        "strategy": "min_cost", "budget": 30, "trials": 0, "seed": 1,
+        "mode": "nominal"}}), "need at least one trial"),
 ], ids=["invalid-json", "not-an-object", "no-config", "config-not-an-object",
         "missing-key", "string-count", "bool-count", "long-pair",
         "world-not-an-object", "world-class-attribute", "float-jobs",
-        "zero-jobs", "unknown-keys", "empty-grid"])
+        "zero-jobs", "unknown-keys", "empty-grid", "single-mode-no-trials"])
 def test_rerun_rejects_bad_manifest(capsys, tmp_path, text, reason):
     bad = tmp_path / "manifest.json"
     bad.write_text(text, encoding="utf-8")

@@ -1,5 +1,6 @@
 """Cultures, the owner-splitting expansion, verifiers and generators."""
 
+import json
 import random
 
 import pytest
@@ -363,6 +364,23 @@ def test_load_culture_rejects_malformed(tmp_path):
     path.write_text('{"arguments": []}', encoding="utf-8")
     with pytest.raises((ParseError, InputError)):
         load_culture(path)
+    path.write_bytes("{}".encode("utf-16"))
+    with pytest.raises(ParseError, match="invalid JSON"):
+        load_culture(path)
+    good = culture_to_dict(example_culture())
+    motion = {"id": 0, "label": "m", "motion": True, "cost": 0}
+    for entry, doc, field in [
+        ({**motion, "attacks": ["x"]}, {}, "argument 0"),
+        ({**motion, "attacks": 0}, {}, "argument 0"),
+        ({**motion, "values": 5}, {}, "argument 0"),
+        ({**motion, "motion": "false"}, {}, "'motion' must be true or false"),
+        (motion, {"x_costs": 7}, "'x_costs'"),
+        (motion, {"x_costs": ["x"]}, "'x_costs'"),
+    ]:
+        bad = {**good, **doc, "arguments": [entry, *good["arguments"][1:]]}
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        with pytest.raises(ParseError, match=field):
+            load_culture(path)
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,8 +11,10 @@ from fairdial.culture import (
     Culture,
     CultureArgument,
     FeatureDescription,
+    builtin_boat_culture,
     expand,
     generate_random_culture,
+    sample_boat_agent,
 )
 from fairdial.dialogue import BUDGET_FORCED, CONVINCED, STRATEGIES, run_dispute
 from fairdial.errors import InputError
@@ -580,3 +582,25 @@ def test_property_kernel_matches_reference(case, g, strategy, seed):
     got = run_dispute(pr, op, xc, strategy, g, rng=rng())
     want = reference_dispute(pr, op, xc, strategy, g, rng=rng())
     assert _outcome(got) == _outcome(want)
+
+
+@pytest.mark.parametrize("g, offensive, defensive", [
+    (5, "TaskedStatus_H^op", "PayloadType_H^op"),
+    (10, "EmergencyNature_H^op", "EmergencyNature_H^op"),
+    (30, "SuperVIPOnBoard_H^op", "SuperVIPOnBoard_H^op"),
+])
+def test_offensive_and_defensive_play_alike_in_the_boat_culture(g, offensive,
+                                                                 defensive):
+    # op's first reply to the motion is a hypothesis, so it does not depend
+    # on the boats; from g = 10 the affordable hypothesis with the most
+    # attacks made is also the one with the fewest received, and the rest
+    # of the dialogue is that feature's exchange, which neither key tells
+    # apart
+    xc = expand(builtin_boat_culture())
+    for pr, op in permutations(range(5), 2):
+        plays = {strategy: run_dispute(sample_boat_agent(pr), sample_boat_agent(op),
+                                       xc, strategy, g)
+                 for strategy in ("offensive", "defensive")}
+        assert [xc.x_arg(plays[s].transcript[1].x_arg).label
+                for s in ("offensive", "defensive")] == [offensive, defensive]
+        assert (plays["offensive"] == plays["defensive"]) == (offensive == defensive)

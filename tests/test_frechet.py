@@ -232,9 +232,10 @@ def test_batch_members_with_very_different_bounds():
 def test_frechet_pairs_matches_discrete_frechet_per_pair():
     rng = np.random.default_rng(15)
     gen = random.Random(15)
-    # pairs share sweeps by shape, small tables included
-    firsts = [_track(rng, n) for n in (70, 70, 8, 70, 90)]
-    seconds = [_track(rng, m) for m in (65, 65, 9, 80, 65)]
+    # one padded sweep: the longest first curve (90) and the longest second
+    # curve (80) differ, and 1-point curves and small tables ride along
+    firsts = [_track(rng, n) for n in (70, 70, 8, 70, 90, 1, 40)]
+    seconds = [_track(rng, m) for m in (65, 65, 9, 80, 65, 30, 1)]
     firsts.append(random_curve(gen))
     seconds.append(random_curve(gen))
     got = frechet_pairs(firsts, seconds)
