@@ -2,7 +2,6 @@
 
 from .af import (
     Framework,
-    is_admissible,
     parse_framework,
     emit_framework,
     preferred_extensions,
@@ -55,7 +54,7 @@ __all__ = [
     "FairdialError", "InputError", "ParseError", "CapacityError",
     "StatsError", "SimulationFault",
     # frameworks
-    "Framework", "is_admissible", "preferred_extensions",
+    "Framework", "preferred_extensions",
     "sceptically_accepted", "parse_framework", "emit_framework",
     # cultures
     "Culture", "CultureArgument", "ExpandedCulture", "FeatureDescription",

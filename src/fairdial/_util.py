@@ -1,7 +1,8 @@
-"""Small shared helpers: seeds, bit iteration, parallel map, formatting."""
+"""Small shared helpers: seeds, bit iteration, parallel map, CSV output."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import os
 
@@ -78,3 +79,20 @@ def fmt_num(x) -> str:
     if isinstance(x, int):
         return str(x)
     return format(float(x), ".10g")
+
+
+def csv_writer(fh):
+    """A CSV writer to ``fh`` in the package's format: bare newline line ends."""
+    return csv.writer(fh, lineterminator="\n")
+
+
+def write_csv(path, columns, rows):
+    """Write a UTF-8 CSV file: the ``columns`` header, then each of ``rows``.
+
+    ``rows`` is read one row at a time, so a generator of rows need hold no
+    more than the row being written.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv_writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)

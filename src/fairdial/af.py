@@ -8,20 +8,17 @@ maximal admissible sets (under set inclusion) are the preferred extensions.
 An argument is sceptically accepted when it belongs to every preferred
 extension.
 
-Two independent routes compute preferred extensions:
+Preferred extensions come from a solver that first computes the grounded
+labelling by fixpoint propagation, then branches only over the arguments
+left undecided.  It relies on a decomposition: the grounded IN set is
+contained in every preferred extension, grounded OUT arguments belong to
+none, and the preferred extensions are exactly the grounded IN set unioned
+with the maximal admissible sets of the subframework induced by the
+undecided arguments.  The test suite cross-checks the solver on random
+frameworks against an exhaustive subset enumeration,
+``reference_preferred_extensions`` in ``tests/reference_models.py``.
 
-* an oracle that enumerates every subset of arguments, kept deliberately
-  naive and capped at ``ORACLE_MAX_ARGS`` arguments, and
-* a solver that first computes the grounded labelling by fixpoint
-  propagation, then branches only over the arguments left undecided.
-
-The solver relies on a decomposition: the grounded IN set is contained in
-every preferred extension, grounded OUT arguments belong to none, and the
-preferred extensions are exactly the grounded IN set unioned with the
-maximal admissible sets of the subframework induced by the undecided
-arguments.  The test suite cross-checks the two routes on random frameworks.
-
-Sceptical acceptance has a third, polynomial route that fires whenever the
+Sceptical acceptance has a polynomial route that fires whenever the
 undecided subframework is bipartite (its undirected attack graph is
 2-colourable).  A bipartite digraph has no odd-length directed cycle, and
 odd-cycle-free frameworks are coherent: every preferred extension is stable.
@@ -40,8 +37,6 @@ from functools import cached_property
 
 from ._util import iter_bits
 from .errors import CapacityError, InputError, ParseError
-
-ORACLE_MAX_ARGS = 20
 
 # Hard cap on the number of undecided arguments the branching solver will
 # accept.  Beyond this the enumeration would be intractable anyway; callers
@@ -86,44 +81,8 @@ class Framework:
         return tuple(masks)
 
 
-def _as_mask(members, n_args) -> int:
-    mask = 0
-    for x in members:
-        if not 0 <= x < n_args:
-            raise InputError(f"argument {x} outside 0..{n_args - 1}")
-        mask |= 1 << x
-    return mask
-
-
 def _mask_to_set(mask) -> frozenset:
     return frozenset(iter_bits(mask))
-
-
-def is_admissible(members, af: Framework) -> bool:
-    """True iff ``members`` is conflict-free and defends all its members."""
-    mask = _as_mask(members, af.n_args)
-    return _admissible_mask(mask, af.attacker_masks, af.target_masks)
-
-
-def _admissible_mask(mask, att_by, att_to) -> bool:
-    hit = 0
-    m = mask
-    while m:
-        low = m & -m
-        x = low.bit_length() - 1
-        m ^= low
-        targets = att_to[x]
-        if targets & mask:
-            return False  # internal attack
-        hit |= targets
-    m = mask
-    while m:
-        low = m & -m
-        x = low.bit_length() - 1
-        m ^= low
-        if att_by[x] & ~hit:
-            return False  # some attacker is not counter-attacked
-    return True
 
 
 def _grounded_split(att_by, att_to, alive, stop=0):
@@ -229,60 +188,19 @@ def _preferred_solver_masks(af: Framework):
     return [in0 | s for s in _max_admissible_in(undec, att_by, att_to)]
 
 
-def _preferred_oracle_masks(af: Framework):
-    if af.n_args > ORACLE_MAX_ARGS:
-        raise CapacityError(
-            f"oracle route handles at most {ORACLE_MAX_ARGS} arguments, "
-            f"got {af.n_args}"
-        )
-    n = af.n_args
-    att_by = af.attacker_masks
-    att_to = af.target_masks
-    # conflict_free[m] via DP on the lowest bit keeps the full 2^n sweep cheap
-    size = 1 << n
-    conflict_free = bytearray(size)
-    conflict_free[0] = 1
-    admissible = []
-    for mask in range(1, size):
-        low = mask & -mask
-        rest = mask ^ low
-        if not conflict_free[rest]:
-            continue
-        x = low.bit_length() - 1
-        if (att_to[x] | att_by[x]) & rest or att_to[x] & low:
-            continue
-        conflict_free[mask] = 1
-        if _admissible_mask(mask, att_by, att_to):
-            admissible.append(mask)
-    admissible.append(0)  # the empty set is always admissible
-    admissible.sort(key=lambda s: -s.bit_count())
-    kept = []
-    for s in admissible:
-        if not any(s & ~k == 0 for k in kept):
-            kept.append(s)
-    return kept
-
-
 def _canonical(masks) -> list:
     exts = [_mask_to_set(m) for m in masks]
     exts.sort(key=lambda e: (-len(e), sorted(e)))
     return exts
 
 
-def preferred_extensions(af: Framework, method: str = "auto") -> list:
+def preferred_extensions(af: Framework) -> list:
     """Preferred extensions of ``af`` as a canonically ordered list.
 
-    ``method`` selects the route: "oracle" (exhaustive, small frameworks
-    only), "solver", or "auto" (the solver).  The list is sorted by
-    descending size, then lexicographically by sorted membership.
+    The list is sorted by descending size, then lexicographically by sorted
+    membership.
     """
-    if method == "oracle":
-        masks = _preferred_oracle_masks(af)
-    elif method in ("solver", "auto"):
-        masks = _preferred_solver_masks(af)
-    else:
-        raise InputError(f"unknown method {method!r}")
-    return _canonical(masks)
+    return _canonical(_preferred_solver_masks(af))
 
 
 def _bipartition(att_by, att_to, alive):

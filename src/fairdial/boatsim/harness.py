@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
-from .._util import derive_seed, fmt_num, parallel_map
+from .._util import derive_seed, fmt_num, parallel_map, write_csv
 from ..dialogue import STRATEGIES
 from ..errors import InputError
 from .metrics import DEFAULT_STRIDE, comfort_metrics, global_trajectory_losses
@@ -40,7 +39,6 @@ class BoatExperimentConfig:
     g: int = 30  # per-player budget; a pair may spend 2g together
     n_trials: int = 10
     world: WorldConfig = WorldConfig()
-    literal_gap: bool = False
 
     def __post_init__(self):
         unknown = set(self.strategies) - set(STRATEGIES)
@@ -89,8 +87,7 @@ def _run_one_trial(args):
             OBJECTIVE: refereed,
         })
         del nominal, subjective
-    losses = global_trajectory_losses(objective, runs,
-                                      literal_gap=cfg.literal_gap)
+    losses = global_trajectory_losses(objective, runs)
     return [
         BoatTrialSummary(trial=trial, strategy=strategy, losses=lost,
                          comfort=comfort, encounters=met)
@@ -109,24 +106,22 @@ def run_boat_experiment(cfg: BoatExperimentConfig, jobs: int = 1):
 
 
 def write_boat_summary_csv(summaries, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
+    def rows():
         for s in summaries:
             for agent, _ in enumerate(s.comfort):
-                writer.writerow(
-                    [
-                        s.trial,
-                        s.strategy,
-                        agent,
-                        fmt_num(s.losses.omega[agent]),
-                        fmt_num(s.losses.omega_p[agent]),
-                        fmt_num(s.losses.gap[agent]),
-                        fmt_num(s.comfort[agent].lat_acc_auc),
-                        fmt_num(s.comfort[agent].yaw_rate_auc),
-                        fmt_num(s.comfort[agent].lat_jerk_auc),
-                    ]
-                )
+                yield [
+                    s.trial,
+                    s.strategy,
+                    agent,
+                    fmt_num(s.losses.omega[agent]),
+                    fmt_num(s.losses.omega_p[agent]),
+                    fmt_num(s.losses.gap[agent]),
+                    fmt_num(s.comfort[agent].lat_acc_auc),
+                    fmt_num(s.comfort[agent].yaw_rate_auc),
+                    fmt_num(s.comfort[agent].lat_jerk_auc),
+                ]
+
+    write_csv(path, SUMMARY_COLUMNS, rows())
 
 
 def encounter_rows(summaries):
@@ -143,42 +138,37 @@ def write_boat_encounters_csv(rows, path):
 
     A strategy of None (the objective referee) is written as an empty cell.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ENCOUNTER_COLUMNS)
-        for trial, strategy, mode, encounters in rows:
-            for e in encounters:
-                writer.writerow(
-                    [
-                        trial, strategy or "", mode, e.first, e.second,
-                        e.pr_agent, e.op_agent, e.winner, e.termination,
-                        e.z, fmt_num(e.r_act), fmt_num(e.t_trigger),
-                    ]
-                )
+    write_csv(path, ENCOUNTER_COLUMNS, (
+        [
+            trial, strategy or "", mode, e.first, e.second,
+            e.pr_agent, e.op_agent, e.winner, e.termination,
+            e.z, fmt_num(e.r_act), fmt_num(e.t_trigger),
+        ]
+        for trial, strategy, mode, encounters in rows
+        for e in encounters
+    ))
 
 
 def write_trajectory_csv(results, path):
     """Decimated per-tick state of (trial, BoatTrialResult)s, each as it comes."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRAJECTORY_COLUMNS)
+    def rows():
         for trial, res in results:
             for agent, (traj, tel) in enumerate(zip(res.trajectories, res.telemetry)):
                 for k in range(0, len(traj), DEFAULT_STRIDE):
-                    writer.writerow(
-                        [
-                            trial,
-                            res.mode,
-                            res.strategy or "",
-                            agent,
-                            fmt_num(traj.ts[k]),
-                            fmt_num(traj.xs[k]),
-                            fmt_num(traj.ys[k]),
-                            fmt_num(traj.headings[k]),
-                            fmt_num(traj.speeds[k]),
-                            fmt_num(tel.lat_acc[k]),
-                            fmt_num(tel.yaw_rate[k]),
-                            fmt_num(tel.lat_jerk[k]),
-                        ]
-                    )
+                    yield [
+                        trial,
+                        res.mode,
+                        res.strategy or "",
+                        agent,
+                        fmt_num(traj.ts[k]),
+                        fmt_num(traj.xs[k]),
+                        fmt_num(traj.ys[k]),
+                        fmt_num(traj.headings[k]),
+                        fmt_num(traj.speeds[k]),
+                        fmt_num(tel.lat_acc[k]),
+                        fmt_num(tel.yaw_rate[k]),
+                        fmt_num(tel.lat_jerk[k]),
+                    ]
             del res, traj, tel  # hold no written result while the next is made
+
+    write_csv(path, TRAJECTORY_COLUMNS, rows())

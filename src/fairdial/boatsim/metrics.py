@@ -68,7 +68,7 @@ class TrajectoryLosses:
 
     omega: tuple  # nominal vs objective
     omega_p: tuple  # nominal vs subjective
-    gap: tuple  # subjective vs objective (or nominal vs subjective, literal)
+    gap: tuple  # subjective vs objective
 
     @property
     def mean_omega(self) -> float:
@@ -79,15 +79,13 @@ class TrajectoryLosses:
         return float(np.mean(self.omega_p))
 
 
-def global_trajectory_losses(objective: tuple, runs,
-                             literal_gap: bool = False) -> list:
+def global_trajectory_losses(objective: tuple, runs) -> list:
     """Fréchet distortion per agent across the three worlds of each run.
 
     ``objective`` is the objective course's trajectory tuple in one sailed
     world, and ``runs`` holds one ``(nominal, subjective)`` pair of its
     trajectory tuples per strategy; one :class:`TrajectoryLosses` comes
-    back per run.  ``literal_gap`` reads the subjectivity gap as nominal
-    versus subjective instead of subjective versus objective.
+    back per run.
 
     Variants that sailed one course share its tuple.  A course compared with
     itself is 0.0 for every agent and is never swept; every other distinct
@@ -97,8 +95,7 @@ def global_trajectory_losses(objective: tuple, runs,
     if any(len(nominal) != n or len(subjective) != n for nominal, subjective in runs):
         raise InputError("trials must cover the same agents")
     wanted = [
-        ((nominal, objective), (nominal, subjective),
-         (nominal, subjective) if literal_gap else (subjective, objective))
+        ((nominal, objective), (nominal, subjective), (subjective, objective))
         for nominal, subjective in runs
     ]
     # keyed by identity: ``runs`` keeps every tuple alive for this call

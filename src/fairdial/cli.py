@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import os
 import random
@@ -25,7 +24,7 @@ from collections import deque
 from pathlib import Path
 
 from . import __version__
-from ._util import derive_seed
+from ._util import csv_writer, derive_seed
 from .af import emit_framework, parse_framework, preferred_extensions, sceptically_accepted
 from .culture import (
     FeatureDescription,
@@ -176,7 +175,6 @@ def _execute_boats(config: dict, out_dir: Path):
             g=config["budget"],
             n_trials=config["trials"],
             world=world_cfg,
-            literal_gap=config.get("literal_gap", False),
         )
         summaries = run_boat_experiment(cfg, jobs=config.get("jobs", 1))
         write_boat_summary_csv(summaries, out_dir / "boats_summary.csv")
@@ -277,7 +275,7 @@ _CONFIG_KEYS = {
     "boats": {
         "strategy": _STR, "budget": _INT, "trials": _INT, "seed": _INT,
         "mode": _STR, "world?": _OBJ, "jobs?": _INT,
-        "log_trajectories?": _BOOL, "literal_gap?": _BOOL,
+        "log_trajectories?": _BOOL,
     },
     "culture-random": {
         "args": _INT, "attacks": _INT, "cost_range": _PAIR, "seed": _INT,
@@ -365,7 +363,7 @@ def _cmd_af_solve(args) -> int:
         verdict = sceptically_accepted(args.sceptical, af)
         print("accepted" if verdict else "rejected")
         return 0
-    exts = preferred_extensions(af, method=args.method)
+    exts = preferred_extensions(af)
     if args.json:
         print(json.dumps([sorted(e) for e in exts]))
     else:
@@ -444,8 +442,7 @@ def _cmd_dispute(args) -> int:
             )
         )
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(
+        csv_writer(sys.stdout).writerow(
             transcript_row(0, "pr", "op", args.strategy,
                            g if g is not None else "inf", res)
         )
@@ -491,7 +488,6 @@ def _cmd_boats(args) -> int:
         "world": world,
         "jobs": args.jobs,
         "log_trajectories": args.log_trajectories,
-        "literal_gap": args.literal_gap,
     }
     return _run_command("boats", config, args.out)
 
@@ -547,8 +543,6 @@ def _build_parser() -> argparse.ArgumentParser:
     af_sub = p_af.add_subparsers(dest="af_command", required=True)
     p_solve = af_sub.add_parser("solve", help="preferred extensions of a framework file")
     p_solve.add_argument("framework", help="framework text file")
-    p_solve.add_argument("--method", choices=("auto", "solver", "oracle"),
-                         default="auto")
     p_solve.add_argument("--sceptical", type=int, default=None, metavar="ARG",
                          help="test sceptical acceptance of one argument")
     p_solve.add_argument("--json", action="store_true")
@@ -613,8 +607,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               " run ignores it")
     p_boats.add_argument("--config", help="JSON file overriding world parameters")
     p_boats.add_argument("--log-trajectories", action="store_true")
-    p_boats.add_argument("--literal-gap", action="store_true",
-                         help="report the subjectivity gap as nominal-vs-subjective")
     p_boats.add_argument("--out", required=True)
     p_boats.set_defaults(func=_cmd_boats)
 

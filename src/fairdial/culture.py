@@ -231,17 +231,14 @@ class ExpandedCulture:
         self.total_cost = sum(self.costs)
         self.owner_index = tuple(ROLES.index(a.owner) for a in self.x_args)
         hyp_masks = [0, 0]
-        owner_masks = [0, 0]
         fact_bits = [{}, {}]
         for a in self.x_args:
             w = ROLES.index(a.owner)
-            owner_masks[w] |= 1 << a.x_id
             if a.kind == HYPOTHESIS:
                 hyp_masks[w] |= 1 << a.x_id
             else:
                 fact_bits[w][a.feature_pos] = 1 << a.x_id
         self.hyp_masks = tuple(hyp_masks)
-        self.owner_masks = tuple(owner_masks)
         self.fact_bits = tuple(fact_bits)
         # uttering node x puts its owner's value of x's feature on record,
         # which is what can make the adversary's fact there verifiable
@@ -487,6 +484,18 @@ def culture_to_dict(culture: Culture) -> dict:
     return doc
 
 
+def _json_int(value, what):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_list(value, what):
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def culture_from_dict(doc) -> Culture:
     if not isinstance(doc, dict) or "arguments" not in doc:
         raise ParseError("culture document needs an 'arguments' list")
@@ -499,30 +508,35 @@ def culture_from_dict(doc) -> Culture:
         if not isinstance(entry, dict):
             raise ParseError(f"argument {i} is not an object")
         try:
-            arg_id = int(entry["id"])
-            label = str(entry["label"])
+            arg_id = _json_int(entry["id"], "'id'")
+            label = entry["label"]
+            if not isinstance(label, str):
+                raise TypeError(f"'label' must be a string, got {label!r}")
             motion = entry["motion"]
             if not isinstance(motion, bool):
                 raise TypeError(f"'motion' must be true or false, got {motion!r}")
-            cost = int(entry["cost"])
+            cost = _json_int(entry["cost"], "'cost'")
             values = entry.get("values")
-            values = tuple(values) if values is not None else None
-            attacks.update((arg_id, int(t)) for t in entry.get("attacks", ()))
-        except (KeyError, TypeError, ValueError) as exc:
+            values = tuple(_json_list(values, "'values'")) if values is not None else None
+            attacks.update(
+                (arg_id, _json_int(t, "an attack target"))
+                for t in _json_list(entry.get("attacks", []), "'attacks'")
+            )
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"argument {i} is malformed: {exc}") from None
         args.append(CultureArgument(arg_id=arg_id, label=label,
                                     is_motion=motion, cost=cost, values=values))
     x_costs = doc.get("x_costs")
+    if x_costs is not None:
+        try:
+            x_costs = tuple(_json_int(c, "an entry")
+                            for c in _json_list(x_costs, "the value"))
+        except TypeError as exc:
+            raise ParseError(f"'x_costs' is malformed: {exc}") from None
     try:
-        return Culture(
-            args=tuple(args),
-            attacks=frozenset(attacks),
-            x_costs=tuple(x_costs) if x_costs is not None else None,
-        )
+        return Culture(args=tuple(args), attacks=frozenset(attacks), x_costs=x_costs)
     except InputError as exc:
         raise ParseError(str(exc)) from None
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"'x_costs' is malformed: {exc}") from None
 
 
 def save_culture(culture: Culture, path):

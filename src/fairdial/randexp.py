@@ -10,7 +10,6 @@ against the full-information referee.
 from __future__ import annotations
 
 import bisect
-import csv
 import io
 import operator
 import random
@@ -18,7 +17,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
 
-from ._util import derive_seed, fmt_num, parallel_map
+from ._util import csv_writer, derive_seed, fmt_num, parallel_map, write_csv
 from .culture import PR, FeatureDescription, expand, generate_random_culture
 from .dialogue import BUDGET_FORCED, STRATEGIES
 from .errors import InputError
@@ -168,7 +167,7 @@ def transcript_row(trial, pr_id, op_id, strategy, g, result):
 def _sweep_worker(args):
     cfg, trial, logged = args
     text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
+    writer = csv_writer(text)
 
     def log(*record):
         writer.writerow(transcript_row(trial, *record))
@@ -188,7 +187,7 @@ def sweep(cfg: TrialConfig, n_trials: int, jobs: int = 1, transcripts=None):
     tasks = [(replace(cfg, seed=s), t, logged)
              for t, s in enumerate(trial_seeds(cfg.seed, n_trials))]
     if logged:
-        csv.writer(transcripts, lineterminator="\n").writerow(TRANSCRIPT_COLUMNS)
+        csv_writer(transcripts).writerow(TRANSCRIPT_COLUMNS)
     rows = []
     for chunk, text in parallel_map(_sweep_worker, tasks, jobs):
         rows += chunk
@@ -258,21 +257,18 @@ def ecdf_privacy_cost(cfg: TrialConfig, n_trials: int, jobs: int = 1):
 
 
 def write_sweep_csv(rows, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.seed,
-                    r.strategy,
-                    r.g,
-                    fmt_num(r.mean_l_sl),
-                    fmt_num(r.mean_l_ol),
-                    fmt_num(float(r.k_raw)),
-                    fmt_num(float(r.k_norm)),
-                ]
-            )
+    write_csv(path, SWEEP_COLUMNS, (
+        [
+            r.seed,
+            r.strategy,
+            r.g,
+            fmt_num(r.mean_l_sl),
+            fmt_num(r.mean_l_ol),
+            fmt_num(float(r.k_raw)),
+            fmt_num(float(r.k_norm)),
+        ]
+        for r in rows
+    ))
 
 
 def summarise(rows):
@@ -309,22 +305,20 @@ def write_summary_csv(summary, path):
         "strategy", "g", "n_trials", "mean_l_SL", "ci99_l_SL",
         "mean_l_OL", "ci99_l_OL", "mean_K_norm", "ci99_K_norm",
     )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
-        for row in summary:
-            writer.writerow([fmt_num(row[c]) if c not in ("strategy",) else row[c]
-                             for c in cols])
+    write_csv(path, cols, (
+        [fmt_num(row[c]) if c not in ("strategy",) else row[c] for c in cols]
+        for row in summary
+    ))
 
 
 def write_ecdf_csv(tables, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ECDF_COLUMNS)
+    def rows():
         for strategy in sorted(tables):
             table = tables[strategy]
             for z, p in zip(table.thresholds, table.proportions):
-                writer.writerow([strategy, z, fmt_num(p)])
+                yield [strategy, z, fmt_num(p)]
+
+    write_csv(path, ECDF_COLUMNS, rows())
 
 
 def write_sweep_plot_script(path):

@@ -1,11 +1,18 @@
 """Slow reference models that the fast kernels are cross-checked against.
 
+``reference_preferred_extensions`` enumerates every subset of a framework's
+arguments, keeps the admissible ones (``is_admissible`` for one set) and
+returns the inclusion-maximal ones: the oracle for the solver in
+``fairdial.af.preferred_extensions``, capped at ``ORACLE_MAX_ARGS``
+arguments.
+
 ``reference_dispute`` plays a dispute through an explicit object model: a
 ledger of disclosed feature values, a verifier that checks every fact
 against that ledger, and a dialogue state that applies one move at a time.
 It reads the expansion's attack masks, owners, costs and strategy keys, but
 none of the tables only the kernel uses (``adv_fact``, ``aff``,
-``cost_levels``, ``true_fact_masks``).
+``cost_levels``, ``true_fact_masks``); it derives each player's node mask
+from ``owner_index`` itself.
 
 ``frechet_python`` is the plain discrete Fréchet recurrence over
 ``math.hypot`` distances.
@@ -29,11 +36,91 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from fairdial._util import iter_bits
+from fairdial.af import Framework
 from fairdial.boatsim.physics import PhysicsParams
 from fairdial.culture import FACT, OP, PR, ROLES, ExpandedArgument, FeatureDescription
 from fairdial.dialogue import BUDGET_FORCED, CONVINCED, RANDOM, DialogueResult
-from fairdial.errors import InputError
+from fairdial.errors import CapacityError, InputError
 from fairdial.fairness import OutcomeMatrix, PrecedenceGraph, precedence_graph
+
+
+ORACLE_MAX_ARGS = 20
+
+
+def is_admissible(members, af: Framework) -> bool:
+    """True iff ``members`` is conflict-free and defends all its members."""
+    mask = 0
+    for x in members:
+        if not 0 <= x < af.n_args:
+            raise InputError(f"argument {x} outside 0..{af.n_args - 1}")
+        mask |= 1 << x
+    return _admissible_mask(mask, af.attacker_masks, af.target_masks)
+
+
+def _admissible_mask(mask, att_by, att_to) -> bool:
+    hit = 0
+    m = mask
+    while m:
+        low = m & -m
+        x = low.bit_length() - 1
+        m ^= low
+        targets = att_to[x]
+        if targets & mask:
+            return False  # internal attack
+        hit |= targets
+    m = mask
+    while m:
+        low = m & -m
+        x = low.bit_length() - 1
+        m ^= low
+        if att_by[x] & ~hit:
+            return False  # some attacker is not counter-attacked
+    return True
+
+
+def _preferred_oracle_masks(af: Framework):
+    if af.n_args > ORACLE_MAX_ARGS:
+        raise CapacityError(
+            f"oracle route handles at most {ORACLE_MAX_ARGS} arguments, "
+            f"got {af.n_args}"
+        )
+    n = af.n_args
+    att_by = af.attacker_masks
+    att_to = af.target_masks
+    # conflict_free[m] via DP on the lowest bit keeps the full 2^n sweep cheap
+    size = 1 << n
+    conflict_free = bytearray(size)
+    conflict_free[0] = 1
+    admissible = []
+    for mask in range(1, size):
+        low = mask & -mask
+        rest = mask ^ low
+        if not conflict_free[rest]:
+            continue
+        x = low.bit_length() - 1
+        if (att_to[x] | att_by[x]) & rest or att_to[x] & low:
+            continue
+        conflict_free[mask] = 1
+        if _admissible_mask(mask, att_by, att_to):
+            admissible.append(mask)
+    admissible.append(0)  # the empty set is always admissible
+    admissible.sort(key=lambda s: -s.bit_count())
+    kept = []
+    for s in admissible:
+        if not any(s & ~k == 0 for k in kept):
+            kept.append(s)
+    return kept
+
+
+def reference_preferred_extensions(af: Framework) -> list:
+    """Preferred extensions of ``af`` by exhaustive enumeration.
+
+    Ordered as ``preferred_extensions`` orders them: by descending size,
+    then lexicographically by sorted membership.
+    """
+    exts = [frozenset(iter_bits(m)) for m in _preferred_oracle_masks(af)]
+    exts.sort(key=lambda e: (-len(e), sorted(e)))
+    return exts
 
 
 class Verdict(enum.Enum):
@@ -98,6 +185,10 @@ class DialogueState:
                 f"descriptions must carry {n_features} feature values"
             )
         self.xc = xc
+        self.owned = tuple(  # per player, the mask of the nodes it owns
+            sum(1 << x for x, o in enumerate(xc.owner_index) if o == w)
+            for w in (0, 1)
+        )
         self.descriptions = (pr_desc, op_desc)
         self.g = g
         self.transcript = []
@@ -118,7 +209,7 @@ class DialogueState:
         xc = self.xc
         w = self.to_move
         mask = 0
-        candidates = (xc.attackers_mask[self.transcript[-1]] & xc.owner_masks[w]
+        candidates = (xc.attackers_mask[self.transcript[-1]] & self.owned[w]
                       & ~self.attacked & ~self.used)
         for x in iter_bits(candidates):
             verdict = verify_fact(xc.x_args[x], self.descriptions[w], self.ledger)

@@ -38,7 +38,7 @@ from fairdial.randexp import (
     sweep,
 )
 from fairdial.culture import FeatureDescription
-from reference_models import graph_from_arcs
+from reference_models import graph_from_arcs, reference_preferred_extensions
 from test_stats import one_sided_p
 
 # pinned experiment scales (criteria allow ranges; these are the choices)
@@ -88,12 +88,12 @@ def test_criterion_01_solver_matches_oracle(announce):
     mismatches = 0
     for _ in range(1000):
         af = random_framework(rng)
-        if preferred_extensions(af, "solver") != preferred_extensions(af, "oracle"):
+        if preferred_extensions(af) != reference_preferred_extensions(af):
             mismatches += 1
     elapsed = time.monotonic() - started
     ok = mismatches == 0 and elapsed < 60.0
     announce(1, ok,
-             f"solver vs oracle on 1000 frameworks (<=12 args): "
+             f"solver vs reference oracle on 1000 frameworks (<=12 args): "
              f"{mismatches} mismatches in {elapsed:.1f}s (budget 60s)")
 
 

@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 
 from fairdial.af import (
     Framework,
-    ORACLE_MAX_ARGS,
     _grounded_split,
     emit_framework,
-    is_admissible,
     parse_framework,
     preferred_extensions,
     sceptically_accepted,
 )
 from fairdial.errors import CapacityError, InputError, ParseError
+from reference_models import is_admissible, reference_preferred_extensions
 
 
 def brute_preferred(n_args, attacks):
@@ -113,8 +112,8 @@ def test_solver_equals_brute_force_on_random_frameworks():
     for _ in range(300):
         af = random_framework(rng)
         expected = brute_preferred(af.n_args, af.attacks)
-        assert preferred_extensions(af, method="solver") == expected
-        assert preferred_extensions(af, method="oracle") == expected
+        assert preferred_extensions(af) == expected
+        assert reference_preferred_extensions(af) == expected
 
 
 def test_canonical_ordering():
@@ -155,7 +154,7 @@ def test_sceptical_fast_path_on_random_bipartite():
                 elif r < 0.65:
                     arcs += [(i, j), (j, i)]
         af = Framework(n, tuple(arcs))
-        exts = preferred_extensions(af, method="oracle")
+        exts = reference_preferred_extensions(af)
         for x in range(n):
             assert sceptically_accepted(x, af) == all(x in e for e in exts)
 
@@ -170,7 +169,7 @@ def test_sceptical_on_alive_mask_matches_built_subframework():
         sub = Framework(len(kept), tuple(
             (index[a], index[b]) for a, b in af.attacks if a in index and b in index
         ))
-        exts = preferred_extensions(sub, method="oracle")
+        exts = reference_preferred_extensions(sub)
         for x in kept:
             expected = all(index[x] in e for e in exts)
             assert sceptically_accepted(x, af, alive) == expected
@@ -212,12 +211,6 @@ def test_preferred_are_maximal_admissible(data):
 
 # ---------------------------------------------------------------- capacity
 
-def test_oracle_capacity_cap():
-    af = Framework(ORACLE_MAX_ARGS + 1, ())
-    with pytest.raises(CapacityError):
-        preferred_extensions(af, method="oracle")
-
-
 def test_solver_capacity_cap():
     # 21 disjoint mutual pairs leave 42 arguments undecided
     attacks = []
@@ -242,8 +235,6 @@ def test_validation_errors():
         sceptically_accepted(0, af, alive=0b10)  # x outside the mask
     with pytest.raises(InputError):
         sceptically_accepted(0, af, alive=0b101)  # mask outside the framework
-    with pytest.raises(InputError):
-        preferred_extensions(af, method="nonsense")
 
 
 # ---------------------------------------------------------------- text format

@@ -418,6 +418,19 @@ def test_subjective_trial_ignores_forced_rulings():
     b = subjective.trajectories[loser]
     m = min(len(a.xs), len(b.xs))
     assert not np.allclose(a.xs[:m], b.xs[:m])
+    # refusing to yield only happens after a budget-forced ruling, so the
+    # nominal-vs-subjective distortion is positive exactly then
+    objective = run_boat_trial(world, None, None, "objective").trajectories
+    runs, forced = [], []
+    for strategy in ("min_cost", "offensive"):
+        nominal = run_boat_trial(world, strategy, 30, "nominal")
+        subjective = run_boat_trial(world, strategy, 30, "subjective")
+        runs.append((nominal.trajectories, subjective.trajectories))
+        forced.append(any(e.termination == "budget_forced"
+                          for e in nominal.encounters))
+    losses = global_trajectory_losses(objective, runs)
+    for lost, was_forced in zip(losses, forced):
+        assert (max(lost.omega_p) > 0.0) == was_forced
 
 
 def test_trials_are_deterministic():
@@ -842,36 +855,13 @@ def test_global_trajectory_losses():
     (losses,) = global_trajectory_losses(objective, [(nominal, subjective)])
     assert losses.omega == (0.0,)
     assert losses.omega_p == (7.0,)
-    assert losses.gap == (7.0,)  # subjective vs objective by default
-    (literal,) = global_trajectory_losses(objective, [(nominal, subjective)],
-                                          literal_gap=True)
-    assert literal.gap == (7.0,)
+    assert losses.gap == (7.0,)  # subjective vs objective
     assert losses.mean_omega == 0.0 and losses.mean_omega_p == 7.0
     assert global_trajectory_losses(objective, []) == []
     with pytest.raises(InputError):
         global_trajectory_losses((base, base), [(nominal, subjective)])
     with pytest.raises(InputError):
         global_trajectory_losses(objective, [(nominal, (base, shifted))])
-
-
-def test_literal_gap_reuses_the_nominal_subjective_comparison():
-    world = init_parade(7, TINY_WORLD)
-    objective = run_boat_trial(world, None, None, "objective").trajectories
-    runs, forced = [], []
-    for strategy in ("min_cost", "offensive"):
-        nominal = run_boat_trial(world, strategy, 30, "nominal")
-        subjective = run_boat_trial(world, strategy, 30, "subjective")
-        runs.append((nominal.trajectories, subjective.trajectories))
-        forced.append(any(e.termination == "budget_forced"
-                          for e in nominal.encounters))
-    defaults = global_trajectory_losses(objective, runs)
-    literals = global_trajectory_losses(objective, runs, literal_gap=True)
-    for default, literal, was_forced in zip(defaults, literals, forced):
-        assert literal.omega == default.omega
-        assert literal.omega_p == default.omega_p
-        assert literal.gap == literal.omega_p
-        # refusing to yield only happens after a budget-forced ruling
-        assert (max(default.omega_p) > 0.0) == was_forced
 
 
 def _wandering_course(rng, n_agents=3, n=121):

@@ -46,12 +46,10 @@ def test_af_solve_text_output(capsys, framework_file):
     assert "{0, 2}" in out
 
 
-def test_af_solve_json_and_methods(capsys, framework_file):
-    for method in ("auto", "solver", "oracle"):
-        code, out, _ = run_cli(capsys, "af", "solve", str(framework_file),
-                               "--method", method, "--json")
-        assert code == 0
-        assert json.loads(out) == [[0, 2]]
+def test_af_solve_json(capsys, framework_file):
+    code, out, _ = run_cli(capsys, "af", "solve", str(framework_file), "--json")
+    assert code == 0
+    assert json.loads(out) == [[0, 2]]
 
 
 def test_af_solve_sceptical(capsys, framework_file):
@@ -101,15 +99,16 @@ def test_non_utf8_input_file_is_exit_1(capsys, tmp_path, argv):
     assert not out.exists()
 
 
-def test_usage_errors_are_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["af", "solve", "x.txt", "--method", "quantum"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+def test_usage_errors_are_exit_2(capsys, tmp_path):
+    out = tmp_path / "never"
+    for argv in (["af", "solve", "x.txt", "--method", "solver"],
+                 ["boats", "--literal-gap", "--out", str(out)],
+                 ["no-such-command"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        capsys.readouterr()
+    assert not out.exists()
 
 
 def test_culture_random_writes_loadable_file(capsys, tmp_path):
@@ -289,6 +288,8 @@ def test_sweep_failing_mid_run_publishes_nothing(capsys, tmp_path, monkeypatch):
 # full sha256 of the headline-scale sweep and ECDF outputs at seed 11; the
 # sweep's must not depend on --jobs, on the transcript log or on a rerun
 GOLDEN_SWEEP = {
+    "plots.gp":
+        "7801f57346350584a6cb9799095a3facb7b93427a3a5e7ec366ed5a5c811c6e1",
     "sweep.csv":
         "172d23f9f0b216df0fc17ef73fe4cc9b564e2827a0bf27acac8099bc3a3c5b7a",
     "sweep_summary.csv":
@@ -299,6 +300,8 @@ GOLDEN_SWEEP = {
 GOLDEN_ECDF = {
     "ecdf.csv":
         "31fcdd7d12b91b7ae21949072a639d70d9934629485468e48732ec4312e6b4fd",
+    "ecdf_plots.gp":
+        "036960fd029c1f5595f8a0ee7250500d1710d5366975e85618b353d30ab20e8c",
 }
 
 
@@ -419,10 +422,15 @@ SWEEP_CONFIG = {
     (json.dumps({"command": "boats", "config": {
         "strategy": "min_cost", "budget": 30, "trials": 0, "seed": 1,
         "mode": "nominal"}}), "need at least one trial"),
+    (json.dumps({"command": "boats", "config": {
+        "strategy": "all", "budget": 30, "trials": 1, "seed": 1, "mode": "all",
+        "world": {}, "jobs": 1, "log_trajectories": False,
+        "literal_gap": False}}), "unknown key 'literal_gap'"),
 ], ids=["invalid-json", "not-an-object", "no-config", "config-not-an-object",
         "missing-key", "string-count", "bool-count", "long-pair",
         "world-not-an-object", "world-class-attribute", "float-jobs",
-        "zero-jobs", "unknown-keys", "empty-grid", "single-mode-no-trials"])
+        "zero-jobs", "unknown-keys", "empty-grid", "single-mode-no-trials",
+        "boats-literal-gap"])
 def test_rerun_rejects_bad_manifest(capsys, tmp_path, text, reason):
     bad = tmp_path / "manifest.json"
     bad.write_text(text, encoding="utf-8")
@@ -490,6 +498,10 @@ def test_boats_single_mode_with_config_override(capsys, tmp_path):
     assert recs[0][:4] == ["trial", "strategy", "mode", "first"]
     assert len(recs) == 2  # two boats, one encounter
     assert recs[1][2] == "nominal"
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert sorted(manifest["config"]) == [
+        "budget", "jobs", "log_trajectories", "mode", "seed", "strategy",
+        "trials", "world"]
 
 
 def test_boats_simulation_fault_is_exit_3_and_publishes_nothing(

@@ -21,10 +21,15 @@ from fairdial.culture import (
     save_culture,
 )
 from fairdial._util import iter_bits
-from fairdial.af import Framework, preferred_extensions
+from fairdial.af import Framework
 from fairdial.errors import InputError, ParseError
 from fairdial.fairness import objective_outcome
-from reference_models import RevealedLedger, Verdict, verify_fact
+from reference_models import (
+    RevealedLedger,
+    Verdict,
+    reference_preferred_extensions,
+    verify_fact,
+)
 
 
 def example_culture(x_costs=None):
@@ -247,7 +252,7 @@ def test_referee_matches_oracle_on_small_cultures():
             true_pr, true_op = xc.true_fact_masks(d_pr, d_op)
             alive = xc.hyp_masks[0] | xc.hyp_masks[1] | true_pr | true_op
             fw, index = induced_framework(xc, alive)
-            exts = preferred_extensions(fw, method="oracle")
+            exts = reference_preferred_extensions(fw)
             expected = "pr" if all(index[motion] in e for e in exts) else "op"
             assert objective_outcome(d_pr, d_op, xc) == expected
 
@@ -368,14 +373,26 @@ def test_load_culture_rejects_malformed(tmp_path):
     with pytest.raises(ParseError, match="invalid JSON"):
         load_culture(path)
     good = culture_to_dict(example_culture())
+    size = example_culture().expanded_size
     motion = {"id": 0, "label": "m", "motion": True, "cost": 0}
     for entry, doc, field in [
         ({**motion, "attacks": ["x"]}, {}, "argument 0"),
         ({**motion, "attacks": 0}, {}, "argument 0"),
+        ({**motion, "attacks": "1"}, {}, "argument 0"),
+        ({**motion, "attacks": [True]}, {}, "argument 0"),
+        ({**motion, "attacks": [1.0]}, {}, "argument 0"),
         ({**motion, "values": 5}, {}, "argument 0"),
+        ({**motion, "values": "abc"}, {}, "argument 0"),
+        ({**motion, "label": ["m"]}, {}, "argument 0"),
+        ({**motion, "id": "0"}, {}, "argument 0"),
+        ({**motion, "cost": True}, {}, "argument 0"),
+        ({**motion, "cost": 3.7}, {}, "argument 0"),
         ({**motion, "motion": "false"}, {}, "'motion' must be true or false"),
         (motion, {"x_costs": 7}, "'x_costs'"),
         (motion, {"x_costs": ["x"]}, "'x_costs'"),
+        (motion, {"x_costs": "7" * size}, "'x_costs'"),
+        (motion, {"x_costs": [True] * size}, "'x_costs'"),
+        (motion, {"x_costs": [1.5] * size}, "'x_costs'"),
     ]:
         bad = {**good, **doc, "arguments": [entry, *good["arguments"][1:]]}
         path.write_text(json.dumps(bad), encoding="utf-8")
