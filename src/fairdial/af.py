@@ -18,9 +18,12 @@ undecided arguments.  The test suite cross-checks the solver on random
 frameworks against an exhaustive subset enumeration,
 ``reference_preferred_extensions`` in ``tests/reference_models.py``.
 
-Sceptical acceptance has a polynomial route that fires whenever the
-undecided subframework is bipartite (its undirected attack graph is
-2-colourable).  A bipartite digraph has no odd-length directed cycle, and
+Sceptical acceptance looks only at the argument's own weakly connected
+component of the undecided subframework, since the maximal admissible sets
+of the residue combine independent choices per component.  A polynomial
+route fires whenever that component is bipartite (its undirected attack
+graph is 2-colourable); otherwise the component goes to the branching
+solver.  A bipartite digraph has no odd-length directed cycle, and
 odd-cycle-free frameworks are coherent: every preferred extension is stable.
 For a stable extension E and any argument x, x not in E means E attacks x,
 so x is in every preferred extension exactly when no attacker of x belongs
@@ -203,39 +206,6 @@ def preferred_extensions(af: Framework) -> list:
     return _canonical(_preferred_solver_masks(af))
 
 
-def _bipartition(att_by, att_to, alive):
-    """2-colour the undirected attack graph on ``alive``, or None.
-
-    Returns (side_a, side_b) masks when every attack crosses the two sides;
-    None as soon as an odd cycle (including a self-attack) forbids it.
-    """
-    side_a = 0
-    side_b = 0
-    unseen = alive
-    while unseen:
-        layer = unseen & -unseen
-        parity = 0
-        while layer:
-            if parity == 0:
-                side_a |= layer
-            else:
-                side_b |= layer
-            unseen &= ~layer
-            nbrs = 0
-            m = layer
-            while m:
-                low = m & -m
-                m ^= low
-                y = low.bit_length() - 1
-                nbrs |= att_by[y] | att_to[y]
-            nbrs &= alive
-            if nbrs & layer:
-                return None
-            layer = nbrs & unseen
-            parity ^= 1
-    return side_a, side_b
-
-
 def _largest_self_defending(side, att_by, alive):
     """Largest S within ``side`` whose members are all defended by S."""
     s = side
@@ -258,21 +228,34 @@ def _largest_self_defending(side, att_by, alive):
         s &= ~removed
 
 
-def _component_of(x, att_by, att_to, alive):
-    """Weakly connected component of ``x`` in the subframework ``alive``."""
-    comp = 1 << x
-    frontier = comp
-    while frontier:
+def _layered_component(x, att_by, att_to, alive):
+    """Breadth-first walk from ``x`` over the undirected attack graph on ``alive``.
+
+    Returns (near, far, odd): the arguments of x's weakly connected component
+    at even and at odd distance from x, and whether an attack joins two
+    arguments at the same distance.  Only such an attack (a self-attack
+    included) closes an odd cycle, so the component is 2-colourable, with
+    colour classes ``near`` and ``far``, exactly when ``odd`` is False.
+    """
+    sides = [0, 0]
+    parity = 0
+    odd = False
+    layer = seen = 1 << x
+    while layer:
+        sides[parity] |= layer
         nbrs = 0
-        m = frontier
+        m = layer
         while m:
             low = m & -m
             m ^= low
             y = low.bit_length() - 1
             nbrs |= att_by[y] | att_to[y]
-        frontier = nbrs & alive & ~comp
-        comp |= frontier
-    return comp
+        nbrs &= alive
+        odd = odd or bool(nbrs & layer)
+        layer = nbrs & ~seen
+        seen |= layer
+        parity ^= 1
+    return sides[0], sides[1], odd
 
 
 def sceptically_accepted(x: int, af: Framework, alive: int | None = None) -> bool:
@@ -296,18 +279,14 @@ def sceptically_accepted(x: int, af: Framework, alive: int | None = None) -> boo
         return True  # grounded IN is part of every preferred extension
     if bit & out0:
         return False
-    undec = alive & ~in0 & ~out0
-    sides = _bipartition(att_by, att_to, undec)
-    if sides is not None:
+    # preferred sets of the residue are unions of independent per-component
+    # choices, so only x's own component of the undecided arguments matters
+    near, far, odd = _layered_component(x, att_by, att_to, alive & ~in0 & ~out0)
+    if not odd:
         # coherent case: x sits in every preferred extension exactly when
         # no attacker of x is credulously accepted (see module docstring)
-        attackers = att_by[x] & undec
-        enemy = sides[1] if bit & sides[0] else sides[0]
-        return attackers & _largest_self_defending(enemy, att_by, undec) == 0
-    # preferred sets of the residue are unions of independent per-component
-    # choices, so only x's own component matters
-    domain = _component_of(x, att_by, att_to, undec)
-    return all(bit & s for s in _max_admissible_in(domain, att_by, att_to))
+        return att_by[x] & _largest_self_defending(far, att_by, near | far) == 0
+    return all(bit & s for s in _max_admissible_in(near | far, att_by, att_to))
 
 
 def parse_framework(text: str) -> Framework:

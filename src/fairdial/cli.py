@@ -250,6 +250,7 @@ _INT = "an integer"
 _INTS = "a list of integers"
 _PAIR = "a pair of integers"
 _STR = "a string"
+_NAME = f"a plain file name other than {MANIFEST_NAME!r}"
 _BOOL = "true or false"
 _OBJ = "a JSON object or null"
 _KINDS = {
@@ -257,6 +258,8 @@ _KINDS = {
     _INTS: _is_int_list,
     _PAIR: lambda v: _is_int_list(v) and len(v) == 2,
     _STR: lambda v: isinstance(v, str),
+    _NAME: lambda v: (isinstance(v, str) and v == Path(v).name
+                      and v not in ("", ".", "..", MANIFEST_NAME)),
     _BOOL: lambda v: isinstance(v, bool),
     _OBJ: lambda v: v is None or isinstance(v, dict),
 }
@@ -279,14 +282,14 @@ _CONFIG_KEYS = {
     },
     "culture-random": {
         "args": _INT, "attacks": _INT, "cost_range": _PAIR, "seed": _INT,
-        "filename?": _STR,
+        "filename?": _NAME,
     },
-    "culture-export-boat": {"filename?": _STR},
+    "culture-export-boat": {"filename?": _NAME},
 }
 
 
 def _check_config(command: str, config: dict):
-    """Reject a replayed config with a missing, unknown or wrongly typed key."""
+    """Reject a config with a missing, unknown or wrongly typed key."""
     known = {key.rstrip("?") for key in _CONFIG_KEYS[command]}
     unknown = sorted(set(config) - known)
     if unknown:
@@ -311,8 +314,10 @@ def _run_command(command: str, config: dict, out_dir) -> int:
     known to be absent or a regular file, the files are moved in one by
     one, manifest last, so a run is complete when its manifest appears.  A
     run that fails before the moves removes the staging directory and every
-    directory it created, ``out_dir`` included.
+    directory it created, ``out_dir`` included; a bad ``config`` fails before
+    any directory exists.
     """
+    _check_config(command, config)
     out_dir = Path(out_dir)
     created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -503,7 +508,6 @@ def _cmd_rerun(args) -> int:
     config = doc.get("config")
     if not isinstance(config, dict):
         raise InputError(f"{manifest_path}: manifest has no \"config\" object")
-    _check_config(command, config)
     out_dir = Path(args.out) if args.out else manifest_path.parent
     return _run_command(command, config, out_dir)
 

@@ -2,7 +2,7 @@
 
 A culture is a shared argumentation framework whose arguments speak about
 agent features: each non-motion argument ``a`` reads "my feature a outranks
-yours".  One or more motion arguments ("I have right of way") carry no
+yours".  Exactly one motion argument ("I have right of way") carries no
 feature.  When two agents dispute, the culture is expanded into a framework
 of owned arguments: each side gets a hypothesis node per argument, plus a
 fact node per non-motion argument.  Hypotheses merely claim the comparison;
@@ -97,8 +97,8 @@ class Culture:
         for i, arg in enumerate(self.args):
             if arg.arg_id != i:
                 raise InputError("argument ids must be dense and ordered")
-        if not any(a.is_motion for a in self.args):
-            raise InputError("a culture needs at least one motion")
+        if sum(a.is_motion for a in self.args) != 1:
+            raise InputError("a culture needs exactly one motion")
         for a, b in self.attacks:
             if not (0 <= a < n and 0 <= b < n):
                 raise InputError(f"attack ({a}, {b}) references unknown argument")
@@ -119,8 +119,8 @@ class Culture:
         return len(self.args)
 
     @cached_property
-    def motion_ids(self) -> tuple:
-        return tuple(a.arg_id for a in self.args if a.is_motion)
+    def motion_id(self) -> int:
+        return next(a.arg_id for a in self.args if a.is_motion)
 
     @cached_property
     def non_motion_ids(self) -> tuple:
@@ -133,9 +133,8 @@ class Culture:
 
     @property
     def expanded_size(self) -> int:
-        """Node count after expansion: 2 per motion, 4 per other argument."""
-        n_motion = len(self.motion_ids)
-        return 2 * n_motion + 4 * (self.n_args - n_motion)
+        """Node count after expansion: 2 for the motion, 4 per other argument."""
+        return 4 * self.n_args - 2
 
 
 @dataclass(frozen=True)
@@ -217,16 +216,6 @@ class ExpandedCulture:
         self._build_tables()
 
     def _build_tables(self):
-        n = self.n_x
-        attackers = [0] * n
-        targets = [0] * n
-        for a, b in self.x_attacks:
-            attackers[b] |= 1 << a
-            targets[a] |= 1 << b
-        self.attackers_mask = tuple(attackers)
-        self.targets_mask = tuple(targets)
-        self.in_degree = tuple(m.bit_count() for m in attackers)
-        self.out_degree = tuple(m.bit_count() for m in targets)
         self.costs = tuple(a.cost for a in self.x_args)
         self.total_cost = sum(self.costs)
         self.owner_index = tuple(ROLES.index(a.owner) for a in self.x_args)
@@ -257,16 +246,19 @@ class ExpandedCulture:
                 1 << x for x, cx in enumerate(self.costs) if cx == c))
         self.aff = tuple(aff)
         # strategy keys: packed (score, id) so a single min() resolves ties
-        # in favour of the lowest node id
-        shift = max(1, n).bit_length()
-        max_out = max(self.out_degree, default=0)
+        # in favour of the lowest node id; offensive ranks by the count of
+        # targets, defensive by the count of attackers
+        fw = self.framework
+        shift = max(1, self.n_x).bit_length()
+        most = max((m.bit_count() for m in fw.target_masks), default=0)
         self.strategy_keys = {
             "min_cost": tuple((c << shift) | x for x, c in enumerate(self.costs)),
             "offensive": tuple(
-                ((max_out - d) << shift) | x for x, d in enumerate(self.out_degree)
+                ((most - m.bit_count()) << shift) | x
+                for x, m in enumerate(fw.target_masks)
             ),
             "defensive": tuple(
-                (d << shift) | x for x, d in enumerate(self.in_degree)
+                (m.bit_count() << shift) | x for x, m in enumerate(fw.attacker_masks)
             ),
         }
 
@@ -306,20 +298,17 @@ class ExpandedCulture:
 
     @cached_property
     def framework(self) -> Framework:
-        """The whole expansion as a Framework; node ids are expanded ids."""
+        """The whole expansion as a Framework; node ids are expanded ids.
+
+        Its ``attacker_masks`` and ``target_masks`` are the attack tables of
+        every dialogue and of the referee.
+        """
         return Framework(n_args=self.n_x, attacks=self.x_attacks)
 
     @cached_property
     def motion_node(self) -> int:
         """The proponent's hypothesis on the motion, every dialogue's opening."""
-        return self.hypothesis(self.single_motion_id, PR)
-
-    @property
-    def single_motion_id(self) -> int:
-        motions = self.base.motion_ids
-        if len(motions) != 1:
-            raise InputError("this operation needs a culture with exactly one motion")
-        return motions[0]
+        return self.hypothesis(self.base.motion_id, PR)
 
     def x_arg(self, x_id: int) -> ExpandedArgument:
         return self.x_args[x_id]

@@ -107,7 +107,8 @@ def _play(xc: ExpandedCulture, strategy, g, rng, true_facts):
         getrandbits = (rng or random.Random(0)).getrandbits
     else:
         keys = xc.strategy_keys[strategy]
-    attackers, targets, adv_fact = xc.attackers_mask, xc.targets_mask, xc.adv_fact
+    fw = xc.framework
+    attackers, targets, adv_fact = fw.attacker_masks, fw.target_masks, xc.adv_fact
     aff, levels = xc.aff, xc.cost_levels
     # the motion is on the table; op moves next
     spent_me, spent_them = 0, costs[motion]

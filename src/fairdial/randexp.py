@@ -321,9 +321,24 @@ def write_ecdf_csv(tables, path):
     write_csv(path, ECDF_COLUMNS, rows())
 
 
+def _plot_command(csv_name, y, style, extra=""):
+    """One gnuplot ``plot`` command: per strategy, column ``y`` of its rows
+    of ``csv_name`` against the budget, plus the ``extra`` using-spec."""
+    return "plot " + ", \\\n     ".join(
+        f"'{csv_name}' using 2:($1 eq '{s}' ? ${y} : 1/0){extra} "
+        f"with {style} title '{s}'"
+        for s in STRATEGIES
+    )
+
+
+def _write_script(path, lines):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_sweep_plot_script(path):
     """Emit a gnuplot script for the sweep summary curves."""
-    lines = [
+    _write_script(path, [
         "# gnuplot script: mean subjective loss and precedence distortion vs budget",
         'set datafile separator ","',
         "set key outside",
@@ -331,31 +346,15 @@ def write_sweep_plot_script(path):
         "set terminal pngcairo size 900,600",
         "set output 'sweep_l_SL.png'",
         "set ylabel 'mean subjective loss'",
-    ]
-    plot_parts = []
-    for s in STRATEGIES:
-        plot_parts.append(
-            f"'sweep_summary.csv' using 2:($1 eq '{s}' ? $4 : 1/0):5 "
-            f"with yerrorlines title '{s}'"
-        )
-    lines.append("plot " + ", \\\n     ".join(plot_parts))
-    lines += [
+        _plot_command("sweep_summary.csv", 4, "yerrorlines", ":5"),
         "set output 'sweep_K_norm.png'",
         "set ylabel 'normalised precedence distortion'",
-    ]
-    plot_parts = []
-    for s in STRATEGIES:
-        plot_parts.append(
-            f"'sweep_summary.csv' using 2:($1 eq '{s}' ? $8 : 1/0):9 "
-            f"with yerrorlines title '{s}'"
-        )
-    lines.append("plot " + ", \\\n     ".join(plot_parts))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        _plot_command("sweep_summary.csv", 8, "yerrorlines", ":9"),
+    ])
 
 
 def write_ecdf_plot_script(path):
-    lines = [
+    _write_script(path, [
         "# gnuplot script: proportion of dialogues needing more than budget z",
         'set datafile separator ","',
         "set key outside",
@@ -363,13 +362,5 @@ def write_ecdf_plot_script(path):
         "set ylabel 'proportion of dialogues needing more'",
         "set terminal pngcairo size 900,600",
         "set output 'ecdf.png'",
-    ]
-    plot_parts = []
-    for s in STRATEGIES:
-        plot_parts.append(
-            f"'ecdf.csv' using 2:($1 eq '{s}' ? $3 : 1/0) "
-            f"with steps title '{s}'"
-        )
-    lines.append("plot " + ", \\\n     ".join(plot_parts))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        _plot_command("ecdf.csv", 3, "steps"),
+    ])

@@ -209,7 +209,7 @@ class DialogueState:
         xc = self.xc
         w = self.to_move
         mask = 0
-        candidates = (xc.attackers_mask[self.transcript[-1]] & self.owned[w]
+        candidates = (xc.framework.attacker_masks[self.transcript[-1]] & self.owned[w]
                       & ~self.attacked & ~self.used)
         for x in iter_bits(candidates):
             verdict = verify_fact(xc.x_args[x], self.descriptions[w], self.ledger)
@@ -227,7 +227,7 @@ class DialogueState:
             raise InputError("the opening move belongs to the proponent")
         self.transcript.append(x)
         self.used |= 1 << x
-        self.attacked |= xc.targets_mask[x]
+        self.attacked |= xc.framework.target_masks[x]
         self.spent[w] += xc.costs[x]
         pos = xc.x_args[x].feature_pos
         if pos is not None:
@@ -275,7 +275,7 @@ def choose(strategy: str, candidates, xc, rng=None):
 def reference_dispute(pr_desc, op_desc, xc, strategy, g, rng=None) -> DialogueResult:
     """``run_dispute`` played move by move through the object model."""
     state = DialogueState(xc, pr_desc, op_desc, g)
-    motion = xc.hypothesis(xc.single_motion_id, PR)
+    motion = xc.hypothesis(xc.base.motion_id, PR)
     if g is not None and xc.costs[motion] > g:
         return _result(state, loser=0, termination=BUDGET_FORCED)
     if strategy == RANDOM and rng is None:

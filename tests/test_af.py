@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairdial import af as af_module
 from fairdial.af import (
     Framework,
     _grounded_split,
@@ -15,6 +16,7 @@ from fairdial.af import (
     preferred_extensions,
     sceptically_accepted,
 )
+from fairdial.cli import main
 from fairdial.errors import CapacityError, InputError, ParseError
 from reference_models import is_admissible, reference_preferred_extensions
 
@@ -48,6 +50,30 @@ def brute_preferred(n_args, attacks):
         if not any(s < other for other in admissible)
     ]
     return sorted(set(maximal), key=lambda e: (-len(e), sorted(e)))
+
+
+def bipartite_arcs(rng, na, nb):
+    """Random attacks between sides 0..na-1 and na..na+nb-1, none within."""
+    arcs = []
+    for i in range(na):
+        for j in range(na, na + nb):
+            r = rng.random()
+            if r < 0.25:
+                arcs.append((i, j))
+            elif r < 0.5:
+                arcs.append((j, i))
+            elif r < 0.65:
+                arcs += [(i, j), (j, i)]
+    return arcs
+
+
+def induced(af, alive):
+    """The subframework ``alive`` induces, and the map from old to new ids."""
+    index = {x: i for i, x in enumerate(x for x in range(af.n_args) if alive >> x & 1)}
+    sub = Framework(len(index), tuple(
+        (index[a], index[b]) for a, b in af.attacks if a in index and b in index
+    ))
+    return sub, index
 
 
 def random_framework(rng, max_args=8):
@@ -143,17 +169,7 @@ def test_sceptical_fast_path_on_random_bipartite():
     for _ in range(300):
         na, nb = rng.randint(1, 5), rng.randint(1, 5)
         n = na + nb
-        arcs = []
-        for i in range(na):
-            for j in range(na, n):
-                r = rng.random()
-                if r < 0.25:
-                    arcs.append((i, j))
-                elif r < 0.5:
-                    arcs.append((j, i))
-                elif r < 0.65:
-                    arcs += [(i, j), (j, i)]
-        af = Framework(n, tuple(arcs))
+        af = Framework(n, tuple(bipartite_arcs(rng, na, nb)))
         exts = reference_preferred_extensions(af)
         for x in range(n):
             assert sceptically_accepted(x, af) == all(x in e for e in exts)
@@ -164,16 +180,61 @@ def test_sceptical_on_alive_mask_matches_built_subframework():
     for _ in range(300):
         af = random_framework(rng, max_args=10)
         alive = rng.getrandbits(af.n_args)
-        kept = [x for x in range(af.n_args) if alive >> x & 1]
-        index = {x: i for i, x in enumerate(kept)}
-        sub = Framework(len(kept), tuple(
-            (index[a], index[b]) for a, b in af.attacks if a in index and b in index
-        ))
+        sub, index = induced(af, alive)
         exts = reference_preferred_extensions(sub)
-        for x in kept:
+        for x in index:
             expected = all(index[x] in e for e in exts)
             assert sceptically_accepted(x, af, alive) == expected
             assert sceptically_accepted(index[x], sub) == expected
+
+
+def even_cycle_beside_odd_cycle():
+    """A 42-cycle through argument 0 plus a disjoint 3-cycle: 45 undecided."""
+    attacks = [(i, (i + 1) % 42) for i in range(42)]
+    attacks += [(42, 43), (43, 44), (44, 42)]
+    return Framework(45, tuple(attacks))
+
+
+def test_sceptical_reads_only_the_component_of_its_argument():
+    # x's component is an even cycle, so the coherent route answers; the
+    # 3-cycle elsewhere in the residue does not send x past the solver cap
+    af = even_cycle_beside_odd_cycle()
+    assert sceptically_accepted(0, af) is False
+    assert sceptically_accepted(42, af) is False
+
+
+def test_af_solve_sceptical_on_even_cycle_beside_odd_cycle(capsys, tmp_path):
+    path = tmp_path / "af.txt"
+    path.write_text(emit_framework(even_cycle_beside_odd_cycle()), encoding="utf-8")
+    assert main(["af", "solve", str(path), "--sceptical", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "rejected"
+
+
+def test_sceptical_on_bipartite_component_beside_odd_cycle(monkeypatch):
+    # arguments 0..n-1 form attacks across two sides; a disjoint odd cycle
+    # with chords stays undecided.  Queries on the bipartite part must match
+    # the reference without reaching the branching solver.
+    rng = random.Random(23)
+    for _ in range(150):
+        na, nb = rng.randint(1, 4), rng.randint(1, 4)
+        n = na + nb
+        arcs = bipartite_arcs(rng, na, nb)
+        k = rng.choice((3, 5))
+        cycle = range(n, n + k)
+        arcs += [(n + i, n + (i + 1) % k) for i in range(k)]
+        arcs += [(a, b) for a in cycle for b in cycle if a != b and rng.random() < 0.2]
+        af = Framework(n + k, tuple(arcs))
+        alive = rng.getrandbits(n) | (((1 << k) - 1) << n)
+        sub, index = induced(af, alive)
+        whole = reference_preferred_extensions(af)
+        part = reference_preferred_extensions(sub)
+        with monkeypatch.context() as m:
+            m.setattr(af_module, "_max_admissible_in", None)
+            for x in range(n):
+                assert sceptically_accepted(x, af) == all(x in e for e in whole)
+                if x in index:
+                    assert sceptically_accepted(x, af, alive) == all(
+                        index[x] in e for e in part)
 
 
 def test_grounded_split_stopped_at_an_argument_labels_it_as_the_full_split():

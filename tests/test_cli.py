@@ -426,11 +426,19 @@ SWEEP_CONFIG = {
         "strategy": "all", "budget": 30, "trials": 1, "seed": 1, "mode": "all",
         "world": {}, "jobs": 1, "log_trajectories": False,
         "literal_gap": False}}), "unknown key 'literal_gap'"),
+    (json.dumps({"command": "culture-export-boat", "config": {
+        "filename": "../escaped.json"}}), "'filename' must be a plain file name"),
+    (json.dumps({"command": "culture-export-boat", "config": {
+        "filename": "sub/x.json"}}), "'filename' must be a plain file name"),
+    (json.dumps({"command": "culture-random", "config": {
+        "args": 5, "attacks": 7, "cost_range": [1, 20], "seed": 1,
+        "filename": "manifest.json"}}), "'filename' must be a plain file name"),
 ], ids=["invalid-json", "not-an-object", "no-config", "config-not-an-object",
         "missing-key", "string-count", "bool-count", "long-pair",
         "world-not-an-object", "world-class-attribute", "float-jobs",
         "zero-jobs", "unknown-keys", "empty-grid", "single-mode-no-trials",
-        "boats-literal-gap"])
+        "boats-literal-gap", "filename-escapes", "filename-in-subdir",
+        "filename-is-manifest"])
 def test_rerun_rejects_bad_manifest(capsys, tmp_path, text, reason):
     bad = tmp_path / "manifest.json"
     bad.write_text(text, encoding="utf-8")
@@ -438,6 +446,15 @@ def test_rerun_rejects_bad_manifest(capsys, tmp_path, text, reason):
     code, _, err = run_cli(capsys, "rerun", str(bad), "--out", str(out))
     assert code == 1 and err.startswith("fairdial:")
     assert reason in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["culture", "export-boat"],
+                                     ["culture", "random", "--seed", "1"]])
+def test_culture_output_named_manifest_is_rejected(capsys, tmp_path, command):
+    out = tmp_path / "d"
+    code, _, err = run_cli(capsys, *command, "-o", str(out / "manifest.json"))
+    assert code == 1 and "'filename' must be a plain file name" in err
     assert not out.exists()
 
 

@@ -84,8 +84,7 @@ def test_expansion_size_formula():
         cul = generate_random_culture(n, rng.randint(n - 1, n * (n - 1) // 2),
                                       (1, 9), rng.randint(0, 10**6))
         xc = expand(cul)
-        motions = len(cul.motion_ids)
-        assert xc.n_x == 2 * motions + 4 * (cul.n_args - motions)
+        assert xc.n_x == cul.expanded_size == 2 + 4 * (cul.n_args - 1)
 
 
 def test_expansion_is_owner_bipartite():
@@ -263,7 +262,7 @@ def test_generate_random_culture_shape():
     cul = generate_random_culture(16, 48, (1, 20), seed=5)
     assert cul.n_args == 16
     assert len(cul.attacks) == 48
-    assert cul.motion_ids == (0,)
+    assert cul.motion_id == 0
     for a, b in cul.attacks:
         assert a > b  # generated attacks always point down the index order
     xc = expand(cul)
@@ -388,13 +387,15 @@ def test_load_culture_rejects_malformed(tmp_path):
         ({**motion, "cost": True}, {}, "argument 0"),
         ({**motion, "cost": 3.7}, {}, "argument 0"),
         ({**motion, "motion": "false"}, {}, "'motion' must be true or false"),
+        ({**motion, "motion": False}, {}, "exactly one motion"),
+        (motion, {"arguments": [motion, {**motion, "id": 1}]}, "exactly one motion"),
         (motion, {"x_costs": 7}, "'x_costs'"),
         (motion, {"x_costs": ["x"]}, "'x_costs'"),
         (motion, {"x_costs": "7" * size}, "'x_costs'"),
         (motion, {"x_costs": [True] * size}, "'x_costs'"),
         (motion, {"x_costs": [1.5] * size}, "'x_costs'"),
     ]:
-        bad = {**good, **doc, "arguments": [entry, *good["arguments"][1:]]}
+        bad = {**good, "arguments": [entry, *good["arguments"][1:]], **doc}
         path.write_text(json.dumps(bad), encoding="utf-8")
         with pytest.raises(ParseError, match=field):
             load_culture(path)
@@ -416,4 +417,4 @@ def test_random_culture_expansion_invariants(n, seed):
     for a, b in xc.x_attacks:
         assert owners[a] != owners[b]
     # no attack involves a motion fact: motions have hypothesis nodes only
-    assert all(a.kind == "H" for a in xc.x_args if a.origin in cul.motion_ids)
+    assert all(a.kind == "H" for a in xc.x_args if a.origin == cul.motion_id)

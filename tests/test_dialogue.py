@@ -289,7 +289,7 @@ def replay_and_audit(xc, pr, op, g, res):
         assert arg.owner == expected_player
         assert move.cost_charged == arg.cost
         if i == 0:
-            assert arg.kind == "H" and arg.origin in xc.base.motion_ids
+            assert arg.kind == "H" and arg.origin == xc.base.motion_id
         else:
             prev = res.transcript[i - 1].x_arg
             assert (move.x_arg, prev) in attacks
