@@ -59,14 +59,18 @@ class BoatTrialSummary:
     encounters: dict  # mode -> tuple of Encounter
 
 
+def _sail_trial(cfg: BoatExperimentConfig, trial: int, variants):
+    """Trial ``trial``'s world with ``variants`` sailed as one batch."""
+    return sail_variants(
+        init_parade(derive_seed(cfg.seed, "world", trial), cfg.world), variants)
+
+
 def _run_one_trial(args):
     cfg, trial = args
-    variants = [(None, None, OBJECTIVE)] + [
+    world = _sail_trial(cfg, trial, [(None, None, OBJECTIVE)] + [
         (strategy, cfg.g, mode)
         for strategy in cfg.strategies for mode in (NOMINAL, SUBJECTIVE)
-    ]
-    world = sail_variants(
-        init_parade(derive_seed(cfg.seed, "world", trial), cfg.world), variants)
+    ])
     # keep of each result only what the summaries read, so that no
     # result's telemetry outlives its turn
     referee = run_boat_trial(world, None, None, OBJECTIVE)
@@ -103,6 +107,20 @@ def run_boat_experiment(cfg: BoatExperimentConfig, jobs: int = 1):
     """
     tasks = [(cfg, t) for t in range(cfg.n_trials)]
     return [s for chunk in parallel_map(_run_one_trial, tasks, jobs) for s in chunk]
+
+
+def run_boat_mode(cfg: BoatExperimentConfig, mode: str):
+    """Yield (trial, BoatTrialResult) for each variant of one mode.
+
+    A trial's variants, one per strategy (one in all for the referee), sail
+    as one batch, and its world goes before the next trial sails.
+    """
+    variants = [(strategy, cfg.g, mode) for strategy in cfg.strategies]
+    for trial in range(cfg.n_trials):
+        world = _sail_trial(cfg, trial, variants)
+        for key in world.sailed:
+            yield trial, run_boat_trial(world, *key)
+        del world
 
 
 def write_boat_summary_csv(summaries, path):

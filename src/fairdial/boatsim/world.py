@@ -124,8 +124,8 @@ class World:
     config: WorldConfig
     agents: tuple
     seed: int
-    # (mode, strategy, g) -> (rulings, outcome) for each variant that
-    # sail_variants has stepped; an outcome may be a SimulationFault
+    # (strategy, g, mode) -> (rulings, outcome) of each variant sail_variants
+    # stepped, in first-seen order; an outcome may be a SimulationFault
     sailed: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -249,12 +249,12 @@ def _variant(strategy, g, mode: str):
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
     if mode == OBJECTIVE:
-        return mode, None, None
+        return None, None, mode
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}")
     if g is None or g < 0:
         raise InputError("dialogue modes need a non-negative budget")
-    return mode, strategy, g
+    return strategy, g, mode
 
 
 def _rule(world: World, keys) -> dict:
@@ -274,7 +274,7 @@ def _rule(world: World, keys) -> dict:
     xc = expand(builtin_boat_culture())
     played = {}  # (strategy, g) -> each pair's (winner role, z, termination)
     rulings = {}
-    for mode, strategy, g in keys:
+    for strategy, g, mode in keys:
         if mode == OBJECTIVE:
             ends = [(objective_outcome(descs[pr], descs[op], xc), 0, "objective")
                     for pr, op in pairs]
@@ -286,7 +286,7 @@ def _rule(world: World, keys) -> dict:
                         descs, xc, strategy, (g,), world.seed, pairs)
                 ]
             ends = played[strategy, g]
-        rulings[mode, strategy, g] = [
+        rulings[strategy, g, mode] = [
             Encounter(
                 first=min(pr, op),
                 second=max(pr, op),
@@ -315,9 +315,10 @@ def sail_variants(world: World, variants) -> World:
 
     Each distinct course among the variants is sailed once, all of them in
     one lockstep batch.  Returns a copy of ``world`` whose ``sailed`` table
-    holds each variant's rulings and outcome, a ``SimulationFault`` for a
-    course whose state turned non-finite; :func:`run_boat_trial` serves the
-    variants from it without ruling or sailing them again.
+    holds, under each distinct :func:`_variant` key, its rulings and outcome
+    (a ``SimulationFault`` for a course whose state turned non-finite);
+    :func:`run_boat_trial` serves the variants from it without ruling or
+    sailing them again.
     """
     ruled = _rule(world, dict.fromkeys(_variant(*v) for v in variants))
     course = {key: _course(rulings) for key, rulings in ruled.items()}
@@ -345,8 +346,8 @@ def run_boat_trial(world: World, strategy, g, mode: str) -> BoatTrialResult:
     trajectories, series, arrival, times = outcome
     return BoatTrialResult(
         mode=mode,
-        strategy=key[1],
-        g=key[2],
+        strategy=key[0],
+        g=key[1],
         trajectories=trajectories,
         telemetry=_telemetry(series, trajectories[0].ts, arrival,
                              world.config.tick),
@@ -394,11 +395,12 @@ def _sail(world: World, courses) -> list:
     (activation radius), ``beats[winner, loser]`` and
     ``yields_to[loser, winner]`` (1.0 where the loser yields).  Encounter
     state is symmetric masks and tick stamps: ``met``/``met_tick`` (first
-    tick within sensor range), ``waiting`` (met, field not yet on) and
-    ``on``/``on_tick`` (field on).  A branch taken per course is a mask
-    over the batch; the field force, in particular, is added only to the
-    courses whose field or reflex acts, because adding another course's
-    +-0 force would turn a -0.0 demand into +0.0.
+    tick within sensor range) and ``on``/``on_tick`` (field on, from the
+    first tick within ``r_on``; as ``r_on <= r_max``, only a pair that has
+    met can switch on).  A branch taken per course is a mask over the batch;
+    the field force, in particular, is added only to the courses whose field
+    or reflex acts, because adding another course's +-0 force would turn a
+    -0.0 demand into +0.0.
 
     The batch is fixed: every course keeps its row until the loop ends, at
     the tick cap or once each course has arrived or been found non-finite.
@@ -460,7 +462,7 @@ def _sail(world: World, courses) -> list:
     yields_to[v, loser, winner] = yielding
 
     # armed = on & beats: the winner's side of each pair whose field is on
-    met, waiting, on, armed = np.zeros((4, V, n, n), dtype=bool)
+    met, on, armed = np.zeros((3, V, n, n), dtype=bool)
     met_tick, on_tick = np.zeros((2, V, n, n), dtype=int)
     # [course, agent, repulsor]: 1.0 where the agent yields to the repulsor
     avoid_perm = np.zeros((V, n, n))
@@ -476,7 +478,7 @@ def _sail(world: World, courses) -> list:
     delta = np.empty((V, 2, n, n))
     d = np.empty((V, n, n))
     near, entered = np.empty((2, V, n, n), dtype=bool)
-    n_waiting = n_on = 0
+    n_on = 0
     any_yields = False
 
     for tick in range(max_ticks):
@@ -495,21 +497,16 @@ def _sail(world: World, courses) -> list:
         if np.count_nonzero(entered):
             met |= entered
             met_tick[entered] = tick
-            waiting |= entered
-            n_waiting = np.count_nonzero(waiting)
 
-        if n_waiting:
-            hit = (d <= r_on) & waiting
-            if np.count_nonzero(hit):
-                waiting &= ~hit
-                n_waiting = np.count_nonzero(waiting)
-                on |= hit
-                n_on = np.count_nonzero(on)
-                on_tick[hit] = tick
-                np.logical_and(on, beats, out=armed)
-                avoid_perm[hit] = yields_to[hit]
-                np.any(avoid_perm, axis=(1, 2), out=yields)
-                any_yields = bool(yields.any())
+        hit = (d <= r_on) & ~on
+        if np.count_nonzero(hit):
+            on |= hit
+            n_on = np.count_nonzero(on)
+            on_tick[hit] = tick
+            np.logical_and(on, beats, out=armed)
+            avoid_perm[hit] = yields_to[hit]
+            np.any(avoid_perm, axis=(1, 2), out=yields)
+            any_yields = bool(yields.any())
 
         avoid = avoid_perm
         acts = yields  # the courses whose field or reflex acts this tick

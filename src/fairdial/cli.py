@@ -24,7 +24,7 @@ from collections import deque
 from pathlib import Path
 
 from . import __version__
-from ._util import csv_writer, derive_seed
+from ._util import csv_writer
 from .af import emit_framework, parse_framework, preferred_extensions, sceptically_accepted
 from .culture import (
     FeatureDescription,
@@ -36,7 +36,7 @@ from .culture import (
 )
 from .dialogue import STRATEGIES, run_dispute
 from .errors import FairdialError, InputError, SimulationFault
-from .fairness import MODES, OBJECTIVE
+from .fairness import MODES
 from .randexp import (
     TrialConfig,
     ecdf_privacy_cost,
@@ -56,9 +56,8 @@ MANIFEST_NAME = "manifest.json"
 # executes; these of its names then become attributes of this module.
 _BOATSIM_NAMES = (
     "BoatExperimentConfig", "PhysicsParams", "WorldConfig", "encounter_rows",
-    "init_parade", "run_boat_experiment", "run_boat_trial", "sail_variants",
-    "write_boat_encounters_csv", "write_boat_summary_csv",
-    "write_trajectory_csv",
+    "run_boat_experiment", "run_boat_mode", "write_boat_encounters_csv",
+    "write_boat_summary_csv", "write_trajectory_csv",
 )
 
 
@@ -161,45 +160,30 @@ def _world_config_from(doc) -> WorldConfig:
 
 def _execute_boats(config: dict, out_dir: Path):
     world_cfg = _world_config_from(config.get("world"))
-    strategies = (
-        tuple(STRATEGIES) if config["strategy"] == "all"
-        else (config["strategy"],)
+    cfg = BoatExperimentConfig(
+        seed=config["seed"],
+        strategies=(tuple(STRATEGIES) if config["strategy"] == "all"
+                    else (config["strategy"],)),
+        g=config["budget"],
+        n_trials=config["trials"],
+        world=world_cfg,
     )
     mode = config["mode"]
-    if config["trials"] < 1:
-        raise InputError("need at least one trial")
     if mode == "all":
-        cfg = BoatExperimentConfig(
-            seed=config["seed"],
-            strategies=strategies,
-            g=config["budget"],
-            n_trials=config["trials"],
-            world=world_cfg,
-        )
         summaries = run_boat_experiment(cfg, jobs=config.get("jobs", 1))
         write_boat_summary_csv(summaries, out_dir / "boats_summary.csv")
         write_boat_encounters_csv(
             encounter_rows(summaries), out_dir / "boats_encounters.csv"
         )
         return ["boats_summary.csv", "boats_encounters.csv"]
-    # single-mode run: encounters plus (optionally) trajectories; a
-    # trial's strategies step their distinct courses as one batch
-    budget = None if mode == OBJECTIVE else config["budget"]
-    variants = [
-        (strategy, budget, mode)
-        for strategy in (strategies if mode != OBJECTIVE else (None,))
-    ]
+    # single-mode run: encounters plus (optionally) trajectories
     rows = []
 
     def results():
-        for trial in range(config["trials"]):
-            seed = derive_seed(config["seed"], "world", trial)
-            world = sail_variants(init_parade(seed, world_cfg), variants)
-            for strategy, g, _ in variants:
-                res = run_boat_trial(world, strategy, g, mode)
-                rows.append((trial, strategy, mode, res.encounters))
-                yield trial, res
-            del world, res  # the trial's recording buffer goes before the next
+        for trial, res in run_boat_mode(cfg, mode):
+            rows.append((trial, res.strategy, mode, res.encounters))
+            yield trial, res
+            del res  # the trial's recording buffer goes before the next
 
     outputs = ["boats_encounters.csv"]
     if config.get("log_trajectories"):
@@ -314,8 +298,8 @@ def _run_command(command: str, config: dict, out_dir) -> int:
     known to be absent or a regular file, the files are moved in one by
     one, manifest last, so a run is complete when its manifest appears.  A
     run that fails before the moves removes the staging directory and every
-    directory it created, ``out_dir`` included; a bad ``config`` fails before
-    any directory exists.
+    directory it created, ``out_dir`` included; a ``config`` with a missing,
+    unknown or wrongly typed key fails before any directory exists.
     """
     _check_config(command, config)
     out_dir = Path(out_dir)
@@ -482,15 +466,13 @@ def _cmd_ecdf(args) -> int:
 
 
 def _cmd_boats(args) -> int:
-    world = _read_json(args.config) if args.config else {}
-    _world_config_from(world)  # reject a bad config before any output exists
     config = {
         "strategy": args.strategy,
         "budget": args.budget,
         "trials": args.trials,
         "seed": args.seed,
         "mode": args.mode,
-        "world": world,
+        "world": _read_json(args.config) if args.config else {},
         "jobs": args.jobs,
         "log_trajectories": args.log_trajectories,
     }
@@ -503,7 +485,7 @@ def _cmd_rerun(args) -> int:
     if not isinstance(doc, dict):
         raise InputError(f"{manifest_path}: a manifest must be a JSON object")
     command = doc.get("command")
-    if command not in _EXECUTORS:
+    if not isinstance(command, str) or command not in _EXECUTORS:
         raise InputError(f"manifest names unknown command {command!r}")
     config = doc.get("config")
     if not isinstance(config, dict):

@@ -398,7 +398,7 @@ def test_criterion_09_boat_sim_orderings(announce):
     rulings = []  # (offensive, defensive) nominal ruling of each pair
     for t in range(BOAT_TRIALS):
         world = init_parade(derive_seed(ROOT_SEED, "world", t), cfg.world)
-        ruled = _rule(world, [("nominal", s, cfg.g) for s in ("offensive", "defensive")])
+        ruled = _rule(world, [(s, cfg.g, "nominal") for s in ("offensive", "defensive")])
         rulings += zip(*ruled.values())
     differ = sum((a.winner, a.z, a.termination) != (b.winner, b.z, b.termination)
                  for a, b in rulings)

@@ -291,9 +291,9 @@ def test_rulings_replay_each_pair_dispute_alone():
     world = RULED_WORLD
     xc = expand(builtin_boat_culture())
     rulings = world_module._rule(world, [
-        ("nominal", s, g) for s in STRATEGIES for g in RULED_BUDGETS])
+        (s, g, "nominal") for s in STRATEGIES for g in RULED_BUDGETS])
     terminations = set()
-    for (_, strategy, g), encounters in rulings.items():
+    for (strategy, g, _), encounters in rulings.items():
         assert [(e.first, e.second) for e in encounters] == list(
             combinations(range(16), 2))
         for e in encounters:
@@ -315,13 +315,13 @@ def test_rulings_replay_each_pair_dispute_alone():
 
 def test_nominal_and_subjective_rulings_differ_only_in_yielding():
     rulings = world_module._rule(RULED_WORLD, [
-        (mode, s, g) for s in STRATEGIES for g in RULED_BUDGETS
+        (s, g, mode) for s in STRATEGIES for g in RULED_BUDGETS
         for mode in ("nominal", "subjective")])
     refused = 0
     for s in STRATEGIES:
         for g in RULED_BUDGETS:
-            nominal = rulings["nominal", s, g]
-            subjective = rulings["subjective", s, g]
+            nominal = rulings[s, g, "nominal"]
+            subjective = rulings[s, g, "subjective"]
             assert all(e.yielding for e in nominal)
             for nom, sub in zip(nominal, subjective, strict=True):
                 assert sub.yielding == (sub.termination != BUDGET_FORCED)
@@ -466,16 +466,12 @@ def _variant_digest(results):
     return h.hexdigest()
 
 
-# the harness's order: the referee world, then nominal and subjective per
-# strategy; sail_variants takes (strategy, g, mode) triples
-HARNESS_ORDER = [("objective", None, None)] + [
-    (mode, strategy, 30)
+# the harness's order of (strategy, g, mode) variants: the referee world,
+# then nominal and subjective per strategy
+HARNESS_ORDER = [(None, None, "objective")] + [
+    (strategy, 30, mode)
     for strategy in STRATEGIES for mode in ("nominal", "subjective")
 ]
-
-
-def _triples(variants):
-    return [(s, g, mode) for mode, s, g in variants]
 
 
 @pytest.fixture
@@ -497,10 +493,10 @@ def test_shared_simulations_match_the_golden_digest(order, batches):
     world = init_parade(3, GOLDEN_WORLD)
     variants = HARNESS_ORDER[::-1] if order == "reversed" else HARNESS_ORDER
     if order != "uncached":
-        world = sail_variants(world, _triples(variants))
+        world = sail_variants(world, variants)
     results = {
         (mode, strategy): run_boat_trial(world, strategy, g, mode)
-        for mode, strategy, g in variants
+        for strategy, g, mode in variants
     }
     # the golden world's 9 variants have 6 distinct courses
     assert batches == ([1] * 9 if order == "uncached" else [6])
@@ -521,14 +517,14 @@ def test_consecutive_variants_match_fresh_runs(batches):
     # winner, offensive at g=30 and g=40 only in r_act, and min_cost's
     # nominal and subjective worlds only in yielding.
     world = init_parade(9, TINY_WORLD)
-    variants = [("objective", None, None), ("nominal", "min_cost", 0),
-                ("nominal", "offensive", 30), ("nominal", "offensive", 40),
-                ("nominal", "min_cost", 30), ("subjective", "min_cost", 30)]
-    sailed = sail_variants(world, _triples(variants))
-    in_a_row = [run_boat_trial(sailed, s, g, mode) for mode, s, g in variants]
+    variants = [(None, None, "objective"), ("min_cost", 0, "nominal"),
+                ("offensive", 30, "nominal"), ("offensive", 40, "nominal"),
+                ("min_cost", 30, "nominal"), ("min_cost", 30, "subjective")]
+    sailed = sail_variants(world, variants)
+    in_a_row = [run_boat_trial(sailed, *v) for v in variants]
     assert batches == [len(variants)]
-    for res, (mode, s, g) in zip(in_a_row, variants):
-        fresh = run_boat_trial(world, s, g, mode)
+    for res, v in zip(in_a_row, variants):
+        fresh = run_boat_trial(world, *v)
         assert _variant_digest([res]) == _variant_digest([fresh])
     assert batches == [len(variants)] + [1] * len(variants)
 
@@ -545,7 +541,7 @@ def test_default_trial_sails_six_courses(batches, monkeypatch):
     courses = {}  # (strategy, mode) -> id of the trajectory tuple
 
     def spy(world, strategy, g, mode):
-        served.append(world_module._variant(strategy, g, mode) in world.sailed)
+        served.append((strategy, g, mode) in world.sailed)
         if not worlds or worlds[-1]() is not world:
             worlds.append(weakref.ref(world))
         result = trial(world, strategy, g, mode)
@@ -703,7 +699,7 @@ LOCKSTEP_WORLDS = {
     "golden": (init_parade(3, GOLDEN_WORLD), HARNESS_ORDER, None),
     "retiring": (
         init_parade(7, GOLDEN_WORLD),
-        [(mode, s, 15 if s else None) for mode, s, _ in HARNESS_ORDER],
+        [(s, 15 if s else None, mode) for s, _, mode in HARNESS_ORDER],
         _courses_retire_apart,
     ),
     "capped": (
@@ -729,10 +725,10 @@ LOCKSTEP_WORLDS = {
 @pytest.mark.parametrize("name", sorted(LOCKSTEP_WORLDS))
 def test_lockstep_matches_each_course_alone(name, batches):
     world, variants, shape = LOCKSTEP_WORLDS[name]
-    sailed = sail_variants(world, _triples(variants))
-    batched = [run_boat_trial(sailed, s, g, mode) for mode, s, g in variants]
+    sailed = sail_variants(world, variants)
+    batched = [run_boat_trial(sailed, *v) for v in variants]
     assert len(batches) == 1 and batches[0] > 1
-    alone = [run_boat_trial(world, s, g, mode) for mode, s, g in variants]
+    alone = [run_boat_trial(world, *v) for v in variants]
     assert len(batches) == 1 + len(variants)
     for a, b in zip(batched, alone):
         assert _variant_digest([a]) == _variant_digest([b])
@@ -741,11 +737,10 @@ def test_lockstep_matches_each_course_alone(name, batches):
 
 def test_poisoned_course_leaves_the_others_bit_identical(monkeypatch, batches):
     world = init_parade(3, GOLDEN_WORLD)
-    variants = _triples(HARNESS_ORDER)
+    variants = HARNESS_ORDER
     alone = {v: _variant_digest([run_boat_trial(world, *v)]) for v in variants}
-    keys = {v: world_module._variant(*v) for v in variants}
-    rulings = world_module._rule(world, keys.values())
-    courses = {v: world_module._course(rulings[keys[v]]) for v in variants}
+    rulings = world_module._rule(world, variants)
+    courses = {v: world_module._course(rulings[v]) for v in variants}
     step = world_module.step_arrays
     spent = []
 

@@ -433,12 +433,23 @@ SWEEP_CONFIG = {
     (json.dumps({"command": "culture-random", "config": {
         "args": 5, "attacks": 7, "cost_range": [1, 20], "seed": 1,
         "filename": "manifest.json"}}), "'filename' must be a plain file name"),
+    (json.dumps({"command": ["sweep"], "config": SWEEP_CONFIG}),
+     "manifest names unknown command ['sweep']"),
+    (json.dumps({"command": {"sweep": 1}, "config": SWEEP_CONFIG}),
+     "manifest names unknown command {'sweep': 1}"),
+    (json.dumps({"command": "boats", "config": {
+        "strategy": "all", "budget": -1, "trials": 1, "seed": 1,
+        "mode": "objective"}}), "budget must be non-negative"),
+    (json.dumps({"command": "boats", "config": {
+        "strategy": "bold", "budget": 30, "trials": 1, "seed": 1,
+        "mode": "objective"}}), "unknown strategies"),
 ], ids=["invalid-json", "not-an-object", "no-config", "config-not-an-object",
         "missing-key", "string-count", "bool-count", "long-pair",
         "world-not-an-object", "world-class-attribute", "float-jobs",
         "zero-jobs", "unknown-keys", "empty-grid", "single-mode-no-trials",
         "boats-literal-gap", "filename-escapes", "filename-in-subdir",
-        "filename-is-manifest"])
+        "filename-is-manifest", "command-is-a-list", "command-is-an-object",
+        "objective-negative-budget", "objective-unknown-strategy"])
 def test_rerun_rejects_bad_manifest(capsys, tmp_path, text, reason):
     bad = tmp_path / "manifest.json"
     bad.write_text(text, encoding="utf-8")
@@ -588,9 +599,12 @@ def test_single_mode_boats_frees_each_trial(capsys, tmp_path, monkeypatch):
     override.write_text(json.dumps({
         "arena_length": 3000.0, "n_agents": 2, "max_time": 300.0,
     }), encoding="utf-8")
-    sail, trial = cli.sail_variants, cli.run_boat_trial
+    from fairdial.boatsim import harness, world as world_module
+
+    sail, trial = harness.sail_variants, harness.run_boat_trial
+    tick_loop = world_module._sail
     for log in ((), ("--log-trajectories",)):
-        results, worlds, alive = [], [], []
+        results, worlds, alive, batches = [], [], [], []
 
         def sailed(world, variants):
             gc.collect()
@@ -604,8 +618,13 @@ def test_single_mode_boats_frees_each_trial(capsys, tmp_path, monkeypatch):
             results.append(weakref.ref(res))
             return res
 
-        monkeypatch.setattr(cli, "sail_variants", sailed)
-        monkeypatch.setattr(cli, "run_boat_trial", served)
+        def stepped(world, courses):
+            batches.append(len(results))
+            return tick_loop(world, courses)
+
+        monkeypatch.setattr(harness, "sail_variants", sailed)
+        monkeypatch.setattr(harness, "run_boat_trial", served)
+        monkeypatch.setattr(world_module, "_sail", stepped)
         out = tmp_path / f"run{len(log)}"
         code, _, _ = run_cli(
             capsys, "boats", "--mode", "nominal", "--strategy", "all",
@@ -614,6 +633,8 @@ def test_single_mode_boats_frees_each_trial(capsys, tmp_path, monkeypatch):
         assert code == 0
         gc.collect()
         assert len(results) == 8 and len(worlds) == 2
+        # each trial runs one tick loop, then serves its 4 variants once each
+        assert batches == [0, 4]
         assert alive == [0, 0], log
         assert all(r() is None for r in results + worlds)
         assert (out / "trajectories.csv").exists() == bool(log)
