@@ -44,6 +44,8 @@ class BoatExperimentConfig:
         unknown = set(self.strategies) - set(STRATEGIES)
         if unknown:
             raise InputError(f"unknown strategies {sorted(unknown)}")
+        if not self.strategies:
+            raise InputError("need at least one strategy")
         if self.n_trials < 1:
             raise InputError("need at least one trial")
         if self.g < 0:

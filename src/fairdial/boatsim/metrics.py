@@ -55,11 +55,11 @@ def comfort_metrics(telemetry: Telemetry, trajectory: Trajectory,
 
 def decimate_positions(trajectory: Trajectory):
     """Position samples every ``DEFAULT_STRIDE`` ticks and the last one."""
-    pos = trajectory.positions
-    idx = np.arange(0, len(pos), DEFAULT_STRIDE)
-    if idx[-1] != len(pos) - 1:
-        idx = np.append(idx, len(pos) - 1)
-    return pos[idx]
+    last = len(trajectory) - 1
+    idx = np.arange(0, last + 1, DEFAULT_STRIDE)
+    if idx[-1] != last:
+        idx = np.append(idx, last)
+    return np.column_stack([trajectory.xs[idx], trajectory.ys[idx]])
 
 
 @dataclass(frozen=True)

@@ -321,6 +321,8 @@ def sail_variants(world: World, variants) -> World:
     sailing them again.
     """
     ruled = _rule(world, dict.fromkeys(_variant(*v) for v in variants))
+    if not ruled:
+        raise InputError("need at least one variant to sail")
     course = {key: _course(rulings) for key, rulings in ruled.items()}
     courses = list(dict.fromkeys(course.values()))
     outcomes = dict(zip(courses, _sail(world, courses)))
@@ -402,6 +404,21 @@ def _sail(world: World, courses) -> list:
     or reflex acts, because adding another course's +-0 force would turn a
     -0.0 demand into +0.0.
 
+    Pair work happens only where a pair can change state.  ``thr`` holds
+    each entry's next radius: r_max until its pair meets, then r_on, then
+    r_crit on the winner's side (the reflex) and -inf on the loser's, so
+    that ``d - thr`` is never NaN.  A tick tests ``d <= thr`` once and runs
+    the meet, switch-on and reflex scans only if it fires.  After a tick
+    with no reflex, ``slack = min(d - gate)``, where ``gate`` is ``thr``
+    with each yielding entry at r_max, where its force turns on.  A pair
+    closes by at most ``2 * top_speed * tick`` per tick, so the next
+    ``slack // closing`` ticks (``closing`` a hair above that bound, to
+    cover rounding) are quiet: they skip the distance table and the field.  On a quiet tick
+    every force term is +-0.0 and the diagonal term is +0.0, so a row sums
+    to +0.0; adding +0.0 to the demands of the acting courses is exactly
+    what the field would do.  A non-finite course makes the slack NaN, and
+    its batch then has no quiet ticks.
+
     The batch is fixed: every course keeps its row until the loop ends, at
     the tick cap or once each course has arrived or been found non-finite.
     An arrived course idles with every boat moored, so it meets no one,
@@ -467,6 +484,18 @@ def _sail(world: World, courses) -> list:
     # [course, agent, repulsor]: 1.0 where the agent yields to the repulsor
     avoid_perm = np.zeros((V, n, n))
     yields = np.zeros(V, dtype=bool)  # whether a course's avoid_perm holds any pair
+    # each entry's next radius and its gate, as the docstring says; thr_on
+    # and gate_on are their values once the pair's field is on
+    thr = np.full((V, n, n), cfg.r_max)
+    gate = thr.copy()
+    thr_on = np.where(beats, cfg.r_crit, -np.inf)
+    gate_on = np.where(yields_to > 0, cfg.r_max, thr_on)
+    # The factor and ``fuzz`` cover rounding in the positions and in d;
+    # ``scale`` bounds every coordinate the run can reach.
+    closing = 2.0 * cfg.physics.top_speed * dt * (1.0 + 2.0**-30)
+    scale = np.abs(start[:2]).max() + cfg.physics.top_speed * (cfg.max_time + dt)
+    fuzz = 2.0**-38 * scale
+    quiet_until = 0  # ticks before this one skip the pair tables
     eps = 1e-9
     done = np.zeros(V, dtype=bool)  # every boat arrived, or state non-finite
     ended = False  # every course is done
@@ -476,9 +505,8 @@ def _sail(world: World, courses) -> list:
     xs, ys, headings, speeds, yaw_rates = state.swapaxes(0, 1)
     # [course, component, agent, other]: agent - other
     delta = np.empty((V, 2, n, n))
-    d = np.empty((V, n, n))
-    near, entered = np.empty((2, V, n, n), dtype=bool)
-    n_on = 0
+    d, gap = np.empty((2, V, n, n))
+    fire, entered = np.empty((2, V, n, n), dtype=bool)
     any_yields = False
 
     for tick in range(max_ticks):
@@ -486,53 +514,73 @@ def _sail(world: World, courses) -> list:
         if ended:
             break
 
-        np.subtract(pos[:, :, :, None], pos[:, :, None, :], out=delta)
-        np.hypot(delta[:, 0], delta[:, 1], out=d)
-        # moored boats neither trigger encounters nor exert fields
-        d[moored] = np.inf
-
-        # A pair meets on the first tick it is within sensor range.
-        np.less_equal(d, cfg.r_max, out=near)
-        np.greater(near, met, out=entered)
-        if np.count_nonzero(entered):
-            met |= entered
-            met_tick[entered] = tick
-
-        hit = (d <= r_on) & ~on
-        if np.count_nonzero(hit):
-            on |= hit
-            n_on = np.count_nonzero(on)
-            on_tick[hit] = tick
-            np.logical_and(on, beats, out=armed)
-            avoid_perm[hit] = yields_to[hit]
-            np.any(avoid_perm, axis=(1, 2), out=yields)
-            any_yields = bool(yields.any())
-
-        avoid = avoid_perm
-        acts = yields  # the courses whose field or reflex acts this tick
-        if n_on:
-            # collision reflex: the winner diverts too; a non-yielding
-            # loser keeps ignoring its opponent outright
-            crit = (d < cfg.r_crit) & armed
-            if np.count_nonzero(crit):
-                avoid = avoid_perm + crit
-                acts = yields | crit.any(axis=(1, 2))
-
         desired = cfg.goal_weight * to_goal
         desired /= np.maximum(goal_dist, eps)[:, None]
-        if any_yields or avoid is not avoid_perm:
-            inv = np.maximum(d, cfg.distance_floor)
-            np.divide(1.0, inv, out=inv)
-            mag = inv - 1.0 / cfg.r_max
-            np.maximum(mag, 0.0, out=mag)
-            mag *= cfg.k_repulsion
-            mag *= avoid
-            unit = delta * inv[:, None]
-            push = unit[:, ::-1] * swirl
-            push += unit
-            push *= mag[:, None]
-            np.add(desired, np.add.reduce(push, axis=3), out=desired,
-                   where=acts[:, None, None])
+        if tick < quiet_until:
+            # No entry can reach its gate, so no pair changes state and
+            # every yielding entry's force is +-0.0.  A row's sum then is
+            # +0.0, as its diagonal term is +0.0, and adding it is all the
+            # field would do.
+            if any_yields:
+                np.add(desired, 0.0, out=desired, where=yields[:, None, None])
+        else:
+            np.subtract(pos[:, :, :, None], pos[:, :, None, :], out=delta)
+            np.hypot(delta[:, 0], delta[:, 1], out=d)
+            # moored boats neither trigger encounters nor exert fields
+            d[moored] = np.inf
+
+            avoid = avoid_perm
+            acts = yields  # the courses whose field or reflex acts this tick
+            np.less_equal(d, thr, out=fire)
+            if np.count_nonzero(fire):
+                # A pair meets on the first tick it is within sensor range:
+                # an entry that has not met fires at r_max.
+                np.greater(fire, met, out=entered)
+                if np.count_nonzero(entered):
+                    met |= entered
+                    met_tick[entered] = tick
+                    thr[entered] = gate[entered] = r_on[entered]
+
+                hit = (d <= r_on) & ~on
+                if np.count_nonzero(hit):
+                    on |= hit
+                    on_tick[hit] = tick
+                    np.logical_and(on, beats, out=armed)
+                    avoid_perm[hit] = yields_to[hit]
+                    np.any(avoid_perm, axis=(1, 2), out=yields)
+                    any_yields = bool(yields.any())
+                    thr[hit] = thr_on[hit]
+                    gate[hit] = gate_on[hit]
+
+                # collision reflex: the winner diverts too; a non-yielding
+                # loser keeps ignoring its opponent outright
+                crit = (d < cfg.r_crit) & armed
+                if np.count_nonzero(crit):
+                    avoid = avoid_perm + crit
+                    acts = yields | crit.any(axis=(1, 2))
+
+            if avoid is avoid_perm:
+                # the ticks until the nearest entry could reach its gate;
+                # a non-finite course makes the slack NaN and skips none
+                np.subtract(d, gate, out=gap)
+                slack = gap.min()
+                if slack > closing:
+                    slack = min(slack, closing * max_ticks)
+                    quiet_until = tick + 1 + int((slack - fuzz) // (closing + fuzz))
+
+            if any_yields or avoid is not avoid_perm:
+                inv = np.maximum(d, cfg.distance_floor)
+                np.divide(1.0, inv, out=inv)
+                mag = inv - 1.0 / cfg.r_max
+                np.maximum(mag, 0.0, out=mag)
+                mag *= cfg.k_repulsion
+                mag *= avoid
+                unit = delta * inv[:, None]
+                push = unit[:, ::-1] * swirl
+                push += unit
+                push *= mag[:, None]
+                np.add(desired, np.add.reduce(push, axis=3), out=desired,
+                       where=acts[:, None, None])
 
         # heading error wrapped to (-pi, pi]; step_arrays clamps the command
         yaw_cmd = np.arctan2(desired[:, 1], desired[:, 0])

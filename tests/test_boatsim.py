@@ -512,6 +512,25 @@ def test_shared_simulations_match_the_golden_digest(order, batches):
     assert _variant_digest([results[key] for key in digest_order]) == GOLDEN_DIGEST
 
 
+# sha256, as above, over the 9 variants of the first default 16-boat world
+# of seed 1 at g=30, in the harness's order.  Its batch of 6 courses has
+# about 6,400 quiet ticks (no pair near a threshold, no force acting), 604
+# encounters with 77 refusals, and collision reflexes on about 900 ticks.
+DEFAULT_WORLD_DIGEST = (
+    "48492b07edf0b789e00ae17e52af54c05e25201c49352c38a383fb2bf3ee08cd")
+
+
+def test_default_world_matches_its_golden_digest(batches):
+    world = sail_variants(init_parade(derive_seed(1, "world", 0)), HARNESS_ORDER)
+    results = [run_boat_trial(world, *v) for v in HARNESS_ORDER]
+    assert batches == [6]
+    encounters = [e for r in results for e in r.encounters]
+    assert ({"objective", "budget_forced", "convinced"}
+            <= {e.termination for e in encounters})
+    assert any(not e.yielding for e in encounters)
+    assert _variant_digest(results) == DEFAULT_WORLD_DIGEST
+
+
 def test_consecutive_variants_match_fresh_runs(batches):
     # World 9's one pair: the referee and a zero budget differ only in the
     # winner, offensive at g=30 and g=40 only in r_act, and min_cost's
@@ -770,6 +789,8 @@ def test_poisoned_course_leaves_the_others_bit_identical(monkeypatch, batches):
 
 def test_run_boat_trial_validation():
     world = init_parade(7, TINY_WORLD)
+    with pytest.raises(InputError, match="at least one variant"):
+        sail_variants(world, [])
     with pytest.raises(InputError):
         run_boat_trial(world, "min_cost", 30, "oracle")
     with pytest.raises(InputError):
@@ -985,3 +1006,5 @@ def test_experiment_config_validation():
         BoatExperimentConfig(n_trials=0)
     with pytest.raises(InputError):
         BoatExperimentConfig(g=-5)
+    with pytest.raises(InputError, match="at least one strategy"):
+        BoatExperimentConfig(strategies=())

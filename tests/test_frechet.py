@@ -6,7 +6,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fairdial.boatsim import frechet as frechet_module
 from fairdial.boatsim.frechet import (
     _frechet_batch,
     _as_points,
@@ -49,9 +52,15 @@ def full_table_frechet(p, q) -> float:
     return float(prev1[n - 1])
 
 
+def whole(batch) -> tuple:
+    """``_frechet_batch``'s sizes for members that fill their arrays."""
+    return tuple(np.full(len(curves), curves.shape[1]) for curves in batch)
+
+
 def pruned(p, q) -> float:
-    """The pruned kernel on one pair, bypassing the small-table dispatch."""
-    return float(_frechet_batch(np.asarray(p)[None], np.asarray(q)[None])[0])
+    """The pruned kernel on one pair, without dropping repeated points."""
+    p, q = np.asarray(p)[None], np.asarray(q)[None]
+    return float(_frechet_batch(p, q, whole((p, q)))[0])
 
 
 def assert_matches_references(p, q, python=True):
@@ -220,8 +229,8 @@ def test_batch_members_with_very_different_bounds():
         elif kind == 4:
             q = _track(rng, m, noise=40.0)  # loosely related
         members.append((p, q))
-    got = _frechet_batch(np.stack([p for p, _ in members]),
-                         np.stack([q for _, q in members]))
+    batch = (np.stack([p for p, _ in members]), np.stack([q for _, q in members]))
+    got = _frechet_batch(*batch, whole(batch))
     want = [full_table_frechet(p, q) for p, q in members]
     assert got.tolist() == want
     assert want[3] == 0.0 and len(set(want)) == len(want)
@@ -248,6 +257,68 @@ def test_frechet_pairs_matches_discrete_frechet_per_pair():
     assert frechet_pairs([], []) == []
     with pytest.raises(InputError):
         frechet_pairs([firsts[0]], [])
+
+
+# a curve as runs of repeated points: a run longer than one point is a
+# stretch at rest, and it may come first, in the middle or last
+_runs = st.lists(
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 5)),
+    min_size=1, max_size=10)
+
+
+def _from_runs(runs):
+    return np.array([(x * 1.5, y * 0.75) for x, y, count in runs
+                     for _ in range(count)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_runs, _runs), min_size=1, max_size=6))
+def test_batches_with_resting_stretches_match_the_full_table(members):
+    firsts = [_from_runs(a) for a, _ in members]
+    seconds = [_from_runs(b) for _, b in members]
+    got = frechet_pairs(firsts, seconds)
+    for value, p, q in zip(got, firsts, seconds):
+        assert value == full_table_frechet(p, q)  # bit for bit
+        assert value == pytest.approx(frechet_python(p.tolist(), q.tolist()),
+                                      rel=1e-15, abs=0.0)
+
+
+def test_member_that_ends_long_before_the_others():
+    rng = np.random.default_rng(16)
+    firsts = [_track(rng, 300), _track(rng, 12), _track(rng, 280)]
+    seconds = [_track(rng, 310), _track(rng, 9), _track(rng, 300)]
+    # the short member's boats moor: a long tail at rest, as in a boat trace
+    firsts[1] = np.concatenate([firsts[1], np.repeat(firsts[1][-1:], 250, axis=0)])
+    seconds[1] = np.concatenate([seconds[1], np.repeat(seconds[1][-1:], 290, axis=0)])
+    got = frechet_pairs(firsts, seconds)
+    assert got == [full_table_frechet(p, q) for p, q in zip(firsts, seconds)]
+
+
+def test_sweep_stops_once_every_member_has_retired(monkeypatch):
+    # every member's own curves end long before the padded arrays do
+    rng = np.random.default_rng(17)
+    own = [(_track(rng, n), _track(rng, m)) for n, m in ((20, 25), (30, 18), (8, 8))]
+    p = np.stack([np.pad(a, ((0, 200 - len(a)), (0, 0)), mode="edge") for a, _ in own])
+    q = np.stack([np.pad(b, ((0, 150 - len(b)), (0, 0)), mode="edge") for _, b in own])
+    sizes = (np.array([len(a) for a, _ in own]), np.array([len(b) for _, b in own]))
+    sweeps = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def hypot(*args, **kwargs):
+            sweeps.append(True)
+            return np.hypot(*args, **kwargs)
+
+    monkeypatch.setattr(frechet_module, "np", CountingNumpy())
+    got = _frechet_batch(p, q, sizes)
+    assert got.tolist() == [full_table_frechet(a, b) for a, b in own]
+    # two calls for the coupling bound, one for the first cell, then one
+    # per sweep up to the last member's last cell, on sweep 30 + 18 - 2:
+    # the sweeps on to 200 + 150 - 2 never run
+    assert len(sweeps) == 2 + 1 + 46
 
 
 def test_input_validation():
