@@ -423,7 +423,7 @@ def _sail(world: World, courses) -> list:
     the tick cap or once each course has arrived or been found non-finite.
     An arrived course idles with every boat moored, so it meets no one,
     feels no field and does not move.  Every tick is recorded into one
-    tick-major ``(max_ticks, V, 5, n)`` buffer.  A course's series is a
+    tick-major ``(max_ticks, 5, V, n)`` buffer.  A course's series is a
     read-only transposed view of its first ``T = min(last arrival tick + 1,
     max_ticks)`` ticks, or of all ``max_ticks`` if a boat never arrived, so
     the results of a batch share that buffer.
@@ -435,21 +435,20 @@ def _sail(world: World, courses) -> list:
     max_ticks = int(round(cfg.max_time / dt)) + 1
     V = len(courses)
 
-    # Every course starts from one (5, n) block whose rows are the working
-    # arrays, so recording a tick is a single write.  x and y, and every
-    # (x, y) quantity below, share one array so that both components go
-    # through each numpy call together.
+    # The state is one (5, V, n) block whose rows are the working arrays,
+    # each contiguous over the batch, so recording a tick is a single write.
+    # x and y, and every (x, y) quantity below, share one array (component
+    # first) so that both components go through each numpy call together.
     start = np.zeros((5, n))
     start[:2] = [[a.start[k] for a in world.agents] for k in (0, 1)]
     goal = np.array([[a.goal[k] for a in world.agents] for k in (0, 1)])
     to_goal = goal - start[:2]
     start[2] = np.arctan2(to_goal[1], to_goal[0])
-    goal_dist = np.hypot(to_goal[0], to_goal[1])
-    state, to_goal, goal_dist = (
-        np.repeat(a[None], V, axis=0) for a in (start, to_goal, goal_dist)
-    )
+    goal_dist = np.repeat(np.hypot(to_goal[0], to_goal[1])[None], V, axis=0)
+    state, to_goal = (np.repeat(a[:, None], V, axis=1) for a in (start, to_goal))
+    goal = goal[:, None]  # (2, 1, n), against (2, V, n)
     try:
-        rec = np.empty((max_ticks, V, 5, n))
+        rec = np.empty((max_ticks, 5, V, n))
     except MemoryError:
         raise CapacityError(
             f"recording {V} courses of {n} boats over {max_ticks} ticks needs"
@@ -464,7 +463,7 @@ def _sail(world: World, courses) -> list:
     # unit vector u to (u_x - beta u_y, u_y + beta u_x): the field bends
     # toward starboard
     beta = cfg.starboard_bias
-    swirl = np.array([-beta, beta])[:, None, None]
+    swirl = np.array([-beta, beta])[:, None, None, None]
 
     first, second = np.array(pairs).T
     ruled = np.array(courses, dtype=float)  # (V, pairs, 4)
@@ -501,10 +500,10 @@ def _sail(world: World, courses) -> list:
     ended = False  # every course is done
     fault_tick = np.full(V, -1)  # tick whose check found a course non-finite
 
-    pos = state[:, :2]
-    xs, ys, headings, speeds, yaw_rates = state.swapaxes(0, 1)
-    # [course, component, agent, other]: agent - other
-    delta = np.empty((V, 2, n, n))
+    pos = state[:2]
+    xs, ys, headings, speeds, yaw_rates = state
+    # [component, course, agent, other]: agent - other
+    delta = np.empty((2, V, n, n))
     d, gap = np.empty((2, V, n, n))
     fire, entered = np.empty((2, V, n, n), dtype=bool)
     any_yields = False
@@ -515,17 +514,17 @@ def _sail(world: World, courses) -> list:
             break
 
         desired = cfg.goal_weight * to_goal
-        desired /= np.maximum(goal_dist, eps)[:, None]
+        desired /= np.maximum(goal_dist, eps)
         if tick < quiet_until:
             # No entry can reach its gate, so no pair changes state and
             # every yielding entry's force is +-0.0.  A row's sum then is
             # +0.0, as its diagonal term is +0.0, and adding it is all the
             # field would do.
             if any_yields:
-                np.add(desired, 0.0, out=desired, where=yields[:, None, None])
+                np.add(desired, 0.0, out=desired, where=yields[:, None])
         else:
             np.subtract(pos[:, :, :, None], pos[:, :, None, :], out=delta)
-            np.hypot(delta[:, 0], delta[:, 1], out=d)
+            np.hypot(delta[0], delta[1], out=d)
             # moored boats neither trigger encounters nor exert fields
             d[moored] = np.inf
 
@@ -575,15 +574,15 @@ def _sail(world: World, courses) -> list:
                 np.maximum(mag, 0.0, out=mag)
                 mag *= cfg.k_repulsion
                 mag *= avoid
-                unit = delta * inv[:, None]
-                push = unit[:, ::-1] * swirl
+                unit = delta * inv
+                push = unit[::-1] * swirl
                 push += unit
-                push *= mag[:, None]
+                push *= mag
                 np.add(desired, np.add.reduce(push, axis=3), out=desired,
-                       where=acts[:, None, None])
+                       where=acts[:, None])
 
         # heading error wrapped to (-pi, pi]; step_arrays clamps the command
-        yaw_cmd = np.arctan2(desired[:, 1], desired[:, 0])
+        yaw_cmd = np.arctan2(desired[1], desired[0])
         yaw_cmd -= headings
         np.subtract(np.pi, yaw_cmd, out=yaw_cmd)
         np.mod(yaw_cmd, 2.0 * np.pi, out=yaw_cmd)
@@ -595,7 +594,7 @@ def _sail(world: World, courses) -> list:
                     cfg.physics, dt)
 
         np.subtract(goal, pos, out=to_goal)
-        np.hypot(to_goal[:, 0], to_goal[:, 1], out=goal_dist)
+        np.hypot(to_goal[0], to_goal[1], out=goal_dist)
         newly = np.greater(goal_dist <= cfg.goal_tolerance, arrived)
         if np.count_nonzero(newly):
             arrived |= newly
@@ -608,7 +607,7 @@ def _sail(world: World, courses) -> list:
             ended = bool(done.all())
 
         if tick % _FINITE_CHECK_EVERY == 0:
-            bad = ~np.isfinite(pos).all(axis=(1, 2)) & ~done
+            bad = ~np.isfinite(pos).all(axis=(0, 2)) & ~done
             if bad.any():
                 fault_tick[bad] = tick
                 done |= bad
@@ -622,7 +621,7 @@ def _sail(world: World, courses) -> list:
             continue
         T = (min(int(arrival_tick[v].max()) + 1, max_ticks)
              if arrived[v].all() else max_ticks)
-        series = rec[:T, v].transpose(1, 2, 0)  # (5, n, T), no copy
+        series = rec[:T, :, v].transpose(1, 2, 0)  # (5, n, T), no copy
         series.setflags(write=False)  # shared by every variant with this course
         x_s, y_s, heading_s, speed_s, _ = series
         if not (np.isfinite(x_s).all() and np.isfinite(y_s).all()):
