@@ -392,7 +392,8 @@ def _sail(world: World, courses) -> list:
     every pair that met, in pair order; or a ``SimulationFault`` if its
     state turned non-finite.
 
-    Every per-course array has a leading batch axis, so one numpy call
+    Every per-course array has a batch axis (the first, after the x/y
+    component or the state row where there is one), so one numpy call
     steps all courses.  A course becomes ``(n, n)`` pair tables: ``r_on``
     (activation radius), ``beats[winner, loser]`` and
     ``yields_to[loser, winner]`` (1.0 where the loser yields).  Encounter
@@ -413,11 +414,11 @@ def _sail(world: World, courses) -> list:
     with each yielding entry at r_max, where its force turns on.  A pair
     closes by at most ``2 * top_speed * tick`` per tick, so the next
     ``slack // closing`` ticks (``closing`` a hair above that bound, to
-    cover rounding) are quiet: they skip the distance table and the field.  On a quiet tick
-    every force term is +-0.0 and the diagonal term is +0.0, so a row sums
-    to +0.0; adding +0.0 to the demands of the acting courses is exactly
-    what the field would do.  A non-finite course makes the slack NaN, and
-    its batch then has no quiet ticks.
+    cover rounding) are quiet: they skip the distance table and the field.
+    On a quiet tick every force term is +-0.0 and the diagonal term is
+    +0.0, so a row sums to +0.0; adding +0.0 to the demands of the acting
+    courses is exactly what the field would do.  A non-finite course makes
+    the slack NaN, and its batch then has no quiet ticks.
 
     The batch is fixed: every course keeps its row until the loop ends, at
     the tick cap or once each course has arrived or been found non-finite.
